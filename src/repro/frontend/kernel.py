@@ -20,6 +20,23 @@ non-integer counts; the total thread count is ``grid * block`` exactly
 as ``kernel<<<grid, block>>>`` would give.  The launch itself is
 ``Machine.launch`` -- one simulated kernel, labelled with the
 function's name, returning its :class:`KernelStats`.
+
+A kernel runs once per warp, warp after warp, unless it is declared
+``@kernel(independent_warps=True)``: it then runs once per wave, as one
+lane batch whose context spans every warp resident on the chip, and
+each charge counts once per warp that has active lanes.  The
+declaration is a promise the simulator cannot check:
+
+* no warp reads or writes memory another warp of the launch writes
+  (atomics are fine while nothing reads their result during the
+  launch: a batch applies its lanes in warp order);
+* every charged operation under data-dependent Python control flow
+  runs on a subcontext holding exactly the lanes that take it
+  (``ctx.subcontext``, ``ctx.branch``, ``ctx.vcall``).
+
+Kept, the batched run's counters, traces and memory contents equal the
+per-warp run's.  The Figure 12 microbenchmark kernels keep it; a kernel
+whose warps update shared cells (traffic's ``move_kernel``) does not.
 """
 from __future__ import annotations
 
@@ -40,8 +57,10 @@ class KernelFn:
     """A decorated kernel function, optionally with fixed geometry."""
 
     def __init__(self, fn: Callable, grid: Optional[int] = None,
-                 block: Optional[int] = None):
+                 block: Optional[int] = None,
+                 independent_warps: bool = False):
         self.fn = fn
+        self.independent_warps = independent_warps
         self.__name__ = getattr(fn, "__name__", "kernel")
         self.__doc__ = getattr(fn, "__doc__", None)
         self.grid = _validate_dim(grid, "grid") if grid is not None else None
@@ -99,16 +118,18 @@ class _BoundKernel:
             return fn(ctx, *args, **kwargs)
 
         return machine.launch(body, self.num_threads,
-                              label=self.kfn.__name__)
+                              label=self.kfn.__name__,
+                              independent_warps=self.kfn.independent_warps)
 
 
 def kernel(fn=None, *, grid: Optional[int] = None,
-           block: Optional[int] = None):
+           block: Optional[int] = None, independent_warps: bool = False):
     """Decorator turning ``fn(ctx, *args)`` into a launchable kernel.
 
     Bare (``@kernel``) leaves geometry to the call site; keyword form
     (``@kernel(grid=64, block=128)``) fixes it so the kernel launches
-    as ``k(machine, *args)``.
+    as ``k(machine, *args)``.  ``independent_warps=True`` declares the
+    contract in the module docstring and runs the kernel once per wave.
     """
     if fn is not None:
         if not callable(fn):
@@ -117,4 +138,5 @@ def kernel(fn=None, *, grid: Optional[int] = None,
                 "@kernel(grid=..., block=...)"
             )
         return KernelFn(fn)
-    return lambda f: KernelFn(f, grid=grid, block=block)
+    return lambda f: KernelFn(f, grid=grid, block=block,
+                              independent_warps=independent_warps)

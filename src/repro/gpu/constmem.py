@@ -20,7 +20,7 @@ is part of its code-size-for-flexibility trade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Sequence
 
 
 @dataclass
@@ -60,14 +60,26 @@ class ConstantMemory:
 
     def access(self, sm: int, entry: int) -> bool:
         """One warp-converged constant load; returns True on a hit."""
-        resident = self._resident[sm % self.num_sms]
+        return self.access_warps((sm,), entry) == 1
+
+    def access_warps(self, sms: Sequence[int], entry: int) -> int:
+        """One warp-converged load of ``entry`` by each of several warps,
+        given by their SMs; returns how many hit.
+
+        Nothing is evicted within a kernel, so the hit count does not
+        depend on the order the warps load in.
+        """
         key = entry % self.CACHE_ENTRIES
-        self.stats.accesses += 1
-        if key in resident:
-            self.stats.hits += 1
-            return True
-        resident.add(key)
-        return False
+        misses = 0
+        for sm in set(sms):
+            resident = self._resident[sm % self.num_sms]
+            if key not in resident:
+                resident.add(key)
+                misses += 1
+        hits = len(sms) - misses
+        self.stats.accesses += len(sms)
+        self.stats.hits += hits
+        return hits
 
     def reset_stats(self) -> None:
         self.stats = ConstantCacheStats()

@@ -1,14 +1,19 @@
 """The SIMT executor: warp-granular functional + cost simulation.
 
-A kernel is a Python callable ``kernel(ctx)`` invoked once per warp.
-The :class:`ExecutionContext` exposes the warp's thread ids and the
-charged operations a lowered GPU program performs: global loads and
-stores (which run through the MMU, the coalescer and the cache
+A kernel is a Python callable ``kernel(ctx)``.  The
+:class:`ExecutionContext` exposes the thread ids of the lanes it runs
+and the charged operations a lowered GPU program performs: global loads
+and stores (which run through the MMU, the coalescer and the cache
 hierarchy against *real* simulated addresses), ALU and control
 instructions (counted into the Figure 7 buckets), and -- the heart of
 the model -- ``vcall``, which asks the machine's dispatch strategy to
 resolve a virtual call per Table 1 and then executes each distinct
-target once (SIMT serialization across types).
+target once per warp (SIMT serialization across types).
+
+A kernel runs once per warp, or -- when it declares
+``independent_warps`` -- once per wave, as one lane batch whose lanes
+each carry their warp: every charge then counts once per warp with
+active lanes, so the counters equal those of the per-warp run.
 """
 from __future__ import annotations
 
@@ -59,35 +64,39 @@ def validate_num_threads(num_threads) -> int:
 
 
 class ExecutionContext:
-    """One warp's view of the machine during a kernel.
+    """The kernel's view of the machine: one warp, or a lane batch.
 
-    Memory accesses are *charged* immediately (instruction counts,
-    transaction counts) but their cache effects are captured in the
-    warp's :class:`MemoryTrace` and replayed by the launcher's engine
-    interleaved with the other warps resident on the same wave -- real
-    warps do not run to completion atomically, and the inter-warp
-    interference is exactly what makes the diverged vTable-pointer load
-    expensive (section 1).
+    ``tid`` holds the active lanes' global thread ids and ``warp`` each
+    lane's wave-local warp: an int for a one-warp context, or a per-lane
+    array, in warp order, for a lane batch spanning a wave.  ``warps``
+    is how many warps every charge counts once for -- the warps with
+    active lanes; a one-warp context counts its warp even with no lanes.
+
+    Memory accesses are *charged* immediately (instruction counts) but
+    their cache effects are captured in the wave's :class:`MemoryTrace`
+    buffer and replayed by the launcher's engine interleaved with the
+    other warps resident on the same wave -- real warps do not run to
+    completion atomically, and the inter-warp interference is exactly
+    what makes the diverged vTable-pointer load expensive (section 1).
     """
 
-    __slots__ = ("machine", "warp_id", "sm", "tid", "stats", "trace")
+    __slots__ = ("machine", "tid", "warp", "warps", "stats", "trace")
 
     def __init__(
         self,
         machine: "Machine",
-        warp_id: int,
-        sm: int,
         tid: np.ndarray,
+        warp,
         stats: KernelStats,
-        trace: MemoryTrace = None,
+        trace: MemoryTrace,
+        warps: int = 1,
     ):
         self.machine = machine
-        self.warp_id = warp_id
-        self.sm = sm
-        self.tid = tid  # active lanes' global thread ids (dense)
+        self.tid = tid
+        self.warp = warp
+        self.warps = warps
         self.stats = stats
-        # the warp's captured memory accesses (stage one of the pipeline)
-        self.trace = trace if trace is not None else MemoryTrace(sm)
+        self.trace = trace
 
     # ------------------------------------------------------------------
     @property
@@ -99,22 +108,40 @@ class ExecutionContext:
         return self.machine.heap
 
     def subcontext(self, lane_sel: np.ndarray) -> "ExecutionContext":
-        """Context for a subset of lanes (SIMT predication/serialization)."""
-        return ExecutionContext(
-            self.machine, self.warp_id, self.sm, self.tid[lane_sel],
-            self.stats, trace=self.trace,
-        )
+        """Context for a subset of lanes (SIMT predication/serialization).
+
+        ``lane_sel`` is a boolean lane mask, so a batch's lanes stay in
+        warp order.
+        """
+        warp = self.warp
+        warps = 1
+        if isinstance(warp, np.ndarray):
+            warp = warp[lane_sel]
+            warps = int(np.count_nonzero(np.diff(warp, prepend=-1)))
+        return ExecutionContext(self.machine, self.tid[lane_sel], warp,
+                                self.stats, self.trace, warps)
+
+    def _warp_sms(self) -> list:
+        """The SM of each warp with active lanes, in warp order."""
+        sms = self.trace.sm
+        warp = self.warp
+        if not isinstance(warp, np.ndarray):
+            return [sms[warp]]
+        first = np.flatnonzero(np.diff(warp, prepend=-1))
+        return [sms[w] for w in warp[first].tolist()]
 
     # ------------------------------------------------------------------
     # instruction charging
     # ------------------------------------------------------------------
     def alu(self, n: int = 1, op: Opcode = Opcode.IADD, role: str = None) -> None:
         """Charge ``n`` warp-wide compute instructions."""
-        self.stats.add_instr(op.klass, self.lane_count, role, count=n)
+        self.stats.add_instr(op.klass, self.lane_count, role, count=n,
+                             warps=self.warps)
 
     def ctrl(self, n: int = 1, op: Opcode = Opcode.BRA, role: str = None) -> None:
         """Charge ``n`` warp-wide control instructions."""
-        self.stats.add_instr(op.klass, self.lane_count, role, count=n)
+        self.stats.add_instr(op.klass, self.lane_count, role, count=n,
+                             warps=self.warps)
 
     # ------------------------------------------------------------------
     # memory
@@ -122,14 +149,13 @@ class ExecutionContext:
     def _charge_transactions(
         self, canonical: np.ndarray, width: int, store: bool, role: str
     ) -> None:
-        stats = self.stats
-        stats.add_instr(InstrClass.MEM, self.lane_count, role)
-        tlb = self.machine.tlb
-        if tlb is not None:
-            stats.tlb_walks += tlb.translate_pages(self.sm, canonical)
-        # coalescing and the global_*_transactions / per-role counters
-        # are deferred to MemoryTrace.finalize (one batched pass per warp)
-        self.trace.append_access(canonical, width, store, role_id(role))
+        self.stats.add_instr(InstrClass.MEM, self.lane_count, role,
+                             warps=self.warps)
+        # coalescing, the global_*_transactions / per-role counters and
+        # the TLB probes are deferred to MemoryTrace.finalize (one
+        # batched pass per wave)
+        self.trace.append_access(canonical, width, store, role_id(role),
+                                 self.warp)
 
     def load(self, addrs: np.ndarray, dtype: str = "u64", role: str = None,
              width: int = None) -> np.ndarray:
@@ -167,6 +193,8 @@ class ExecutionContext:
         the update runs as one vectorized gather/modify/scatter; the
         ordered per-lane loop is kept only for conflicting lanes.
         """
+        if op not in ("add", "min", "max"):
+            raise ValueError(f"unsupported atomic op {op!r}")
         a = np.asarray(addrs, dtype=np.uint64)
         canonical = self.machine.mmu.translate(a)
         np_dtype, w = SCALAR_TYPES[dtype]
@@ -174,8 +202,6 @@ class ExecutionContext:
         vals = np.broadcast_to(np.asarray(values, dtype=np_dtype),
                                (len(canonical),))
         heap = self.heap
-        if op not in ("add", "min", "max"):
-            raise ValueError(f"unsupported atomic op {op!r}")
         lanes = canonical.tolist()
         if lanes and len(set(lanes)) == len(lanes):
             old = heap.gather(canonical, dtype)
@@ -306,26 +332,29 @@ class ExecutionContext:
         stats.vfunc_calls += self.lane_count
 
         targets = strategy.resolve(self, ptrs, slot, uniform=uniform)
-        unique_targets = np.unique(targets)
-        stats.call_serializations += max(0, len(unique_targets) - 1)
+        calls = []
+        for code_addr in np.unique(targets):
+            sel = targets == code_addr
+            calls.append((int(code_addr), sel, self.subcontext(sel)))
+        # each warp runs the body once per distinct target it holds
+        stats.call_serializations += (
+            sum(sub.warps for _, _, sub in calls) - self.warps)
 
         if not strategy.direct_call:
             # section 2: one constant-memory load translates the global
             # vFunc entry into the running kernel's instruction address
             stats.add_instr(InstrClass.MEM, self.lane_count,
-                            ROLE_CONST_INDIRECTION)
+                            ROLE_CONST_INDIRECTION, warps=self.warps)
             constmem = self.machine.constmem
-            for code_addr in unique_targets:
-                stats.const_accesses += 1
-                if constmem.access(self.sm, int(code_addr) // 64):
-                    stats.const_hits += 1
+            for code_addr, _, sub in calls:
+                sms = sub._warp_sms()
+                stats.const_accesses += len(sms)
+                stats.const_hits += constmem.access_warps(sms, code_addr // 64)
 
         arena = self.machine.arena
         result: Optional[np.ndarray] = None
-        for code_addr in unique_targets:
-            sel = targets == code_addr
-            impl = arena.impl_of_code_addr(int(code_addr))
-            sub = self.subcontext(sel)
+        for code_addr, sel, sub in calls:
+            impl = arena.impl_of_code_addr(code_addr)
             if strategy.direct_call:
                 # Concord: direct branch to a statically-known body
                 sub.ctrl(1, op=Opcode.BRA, role=ROLE_DISPATCH_OVERHEAD)
@@ -342,17 +371,23 @@ class ExecutionContext:
         return result
 
 
-def launch(machine: "Machine", kernel, num_threads: int) -> KernelStats:
+def launch(machine: "Machine", kernel, num_threads: int,
+           independent_warps: bool = False) -> KernelStats:
     """Run ``kernel`` over ``num_threads`` threads, wave by wave.
 
     Warps are assigned to SMs round-robin (as thread blocks are on real
     hardware).  A *wave* is the set of warps concurrently resident on
     the whole chip (``num_sms x resident_warps_per_sm``).  Each wave is
     a capture -> replay round trip: its warps execute functionally,
-    appending to per-warp :class:`MemoryTrace` records, and the
-    machine's replay engine then pushes the wave's traces through the
-    cache/DRAM model in the round-robin interleave (or reuses memoized
-    counters -- see ``Machine.replay_wave``).
+    appending to the wave's :class:`MemoryTrace` buffer, which coalesces
+    into per-warp traces; the machine's replay engine then pushes them
+    through the cache/DRAM model in the round-robin interleave (or
+    reuses memoized counters -- see ``Machine.replay_wave``).
+
+    By default the kernel runs once per warp, warp after warp, so each
+    warp sees every earlier warp's stores.  ``independent_warps`` runs
+    it once per wave as one lane batch instead; that is exact only for
+    kernels keeping the contract ``repro.frontend.kernel`` documents.
     """
     num_threads = validate_num_threads(num_threads)
     reg = obs.registry()
@@ -374,29 +409,36 @@ def launch(machine: "Machine", kernel, num_threads: int) -> KernelStats:
         for wave_start in range(0, num_warps, wave_size):
             num_waves += 1
             wave_end = min(wave_start + wave_size, num_warps)
-            traces = []
+            trace = MemoryTrace(
+                [w % num_sms for w in range(wave_start, wave_end)],
+                tlb=machine.tlb,
+            )
             t0 = perf() if track else 0.0
-            for warp_id in range(wave_start, wave_end):
-                lo = warp_id * WARP_SIZE
-                hi = min(lo + WARP_SIZE, num_threads)
-                tid = np.arange(lo, hi, dtype=np.int64)
-                ctx = ExecutionContext(
-                    machine, warp_id, warp_id % num_sms, tid, stats
-                )
-                kernel(ctx)
-                if track:
-                    tc = perf()
-                    traces.append(ctx.trace.finalize(stats))
-                    t_coalesce += perf() - tc
-                else:
-                    traces.append(ctx.trace.finalize(stats))
+            if independent_warps:
+                lo = wave_start * WARP_SIZE
+                tid = np.arange(lo, min(wave_end * WARP_SIZE, num_threads),
+                                dtype=np.int64)
+                kernel(ExecutionContext(
+                    machine, tid, (tid - lo) // WARP_SIZE, stats, trace,
+                    warps=wave_end - wave_start,
+                ))
+            else:
+                for warp_id in range(wave_start, wave_end):
+                    lo = warp_id * WARP_SIZE
+                    tid = np.arange(lo, min(lo + WARP_SIZE, num_threads),
+                                    dtype=np.int64)
+                    kernel(ExecutionContext(
+                        machine, tid, warp_id - wave_start, stats, trace))
             if track:
+                tc = perf()
+                traces = trace.finalize(stats)
                 t1 = perf()
+                t_coalesce += t1 - tc
                 t_capture += t1 - t0
                 machine.replay_wave(traces, stats)
                 t_replay += perf() - t1
             else:
-                machine.replay_wave(traces, stats)
+                machine.replay_wave(trace.finalize(stats), stats)
 
         from .timing import finalize_timing
 
@@ -404,6 +446,6 @@ def launch(machine: "Machine", kernel, num_threads: int) -> KernelStats:
         if track:
             reg.add_time("machine.capture", t_capture - t_coalesce,
                          count=num_waves)
-            reg.add_time("machine.coalesce", t_coalesce, count=num_warps)
+            reg.add_time("machine.coalesce", t_coalesce, count=num_waves)
             reg.add_time("machine.replay", t_replay, count=num_waves)
     return stats

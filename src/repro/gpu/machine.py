@@ -336,13 +336,17 @@ class Machine:
         memo.put(key, delta)
 
     def launch(self, kernel, num_threads: int,
-               label: Optional[str] = None) -> KernelStats:
+               label: Optional[str] = None,
+               independent_warps: bool = False) -> KernelStats:
         """Run one kernel; returns its stats and accumulates run totals.
 
         ``label`` names the launch in the per-kernel profile (defaults
         to the kernel callable's __name__, like nvprof's kernel list).
+        ``independent_warps`` runs the kernel once per wave instead of
+        once per warp (see ``repro.gpu.executor.launch``).
         """
-        stats = _launch(self, kernel, num_threads)
+        stats = _launch(self, kernel, num_threads,
+                        independent_warps=independent_warps)
         self.run_stats.merge(stats)
         self.launches += 1
         obs.count("machine.launches")

@@ -79,22 +79,30 @@ class TLBHierarchy:
     def translate_pages(self, sm: int, addrs: np.ndarray) -> int:
         """Probe the TLBs for one warp access; returns page walks taken.
 
-        Page extraction and uniquing are batched (one numpy pass over
-        the warp's addresses); only the stateful LRU probes walk the
-        handful of distinct pages.
+        Addresses are coerced to ``uint64`` before the page divide -- a
+        signed trace dtype would otherwise promote the divide to float64
+        and miscompute pages above 2**53.
+        """
+        a = np.asarray(addrs).astype(np.uint64, copy=False)
+        return self.probe_pages(sm, a // np.uint64(PAGE_SIZE))
+
+    def probe_pages(self, sm: int, pages: np.ndarray) -> int:
+        """Probe the TLBs for the page numbers one warp access touched;
+        returns page walks taken.
+
+        Uniquing is batched (one numpy pass over the warp's pages); only
+        the stateful LRU probes walk the handful of distinct pages, in
+        ascending page order.
 
         ``sm`` must name a real SM: wrapping an out-of-range id would
         silently alias two SMs' L1 TLB state and corrupt the ablation's
-        hit rates.  Addresses are coerced to ``uint64`` before the page
-        divide -- a signed trace dtype would otherwise promote the
-        divide to float64 and miscompute pages above 2**53.
+        hit rates.
         """
         if not 0 <= sm < self.num_sms:
             raise IndexError(
                 f"SM id {sm} out of range for {self.num_sms} SMs"
             )
-        a = np.asarray(addrs).astype(np.uint64, copy=False)
-        pages = np.unique(a // np.uint64(PAGE_SIZE)).tolist()
+        pages = np.unique(pages).tolist()
         stats = self.stats
         l1 = self.l1s[sm]
         l2 = self.l2

@@ -46,6 +46,7 @@ def fig1_breakdown(
     workloads: Optional[Sequence[str]] = None,
     scale: float = DEFAULT_SCALE,
     config: Optional[GPUConfig] = None,
+    seed: int = 7,
 ) -> FigureResult:
     """Latency attribution of the three dispatch operations under CUDA.
 
@@ -54,7 +55,7 @@ def fig1_breakdown(
     branch; the paper measures ~87% for the vTable-pointer load A.
     """
     records = run_sweep(workloads, techniques=("cuda",), scale=scale,
-                        config=config)
+                        config=config, seed=seed)
     costs = {"load_vtable_ptr": 0.0, "load_vfunc_ptr": 0.0,
              "indirect_call": 0.0}
     for rec in records.values():
@@ -85,10 +86,12 @@ def fig6_performance(
     techniques: Optional[Sequence[str]] = None,
     scale: float = DEFAULT_SCALE,
     config: Optional[GPUConfig] = None,
+    seed: int = 7,
 ) -> FigureResult:
     if techniques is None:
         techniques = figure_techniques()
-    records = run_sweep(workloads, techniques, scale=scale, config=config)
+    records = run_sweep(workloads, techniques, scale=scale, config=config,
+                        seed=seed)
     perf = normalized(records, "cycles", baseline="sharedoa", invert=True)
     gm = geomean_by_technique(perf)
     table = matrix_table(
@@ -107,10 +110,12 @@ def fig7_instruction_mix(
     techniques: Optional[Sequence[str]] = None,
     scale: float = DEFAULT_SCALE,
     config: Optional[GPUConfig] = None,
+    seed: int = 7,
 ) -> FigureResult:
     if techniques is None:
         techniques = figure_techniques()
-    records = run_sweep(workloads, techniques, scale=scale, config=config)
+    records = run_sweep(workloads, techniques, scale=scale, config=config,
+                        seed=seed)
     values: Dict[Tuple[str, str], Dict[str, float]] = {}
     workload_set: List[str] = []
     for (wl, tech), rec in records.items():
@@ -150,10 +155,12 @@ def fig8_load_transactions(
     techniques: Optional[Sequence[str]] = None,
     scale: float = DEFAULT_SCALE,
     config: Optional[GPUConfig] = None,
+    seed: int = 7,
 ) -> FigureResult:
     if techniques is None:
         techniques = figure_techniques()
-    records = run_sweep(workloads, techniques, scale=scale, config=config)
+    records = run_sweep(workloads, techniques, scale=scale, config=config,
+                        seed=seed)
     ratios = normalized(records, "gld_transactions", baseline="sharedoa")
     gm = geomean_by_technique(ratios)
     table = matrix_table(
@@ -172,10 +179,12 @@ def fig9_l1_hit_rate(
     techniques: Optional[Sequence[str]] = None,
     scale: float = DEFAULT_SCALE,
     config: Optional[GPUConfig] = None,
+    seed: int = 7,
 ) -> FigureResult:
     if techniques is None:
         techniques = figure_techniques()
-    records = run_sweep(workloads, techniques, scale=scale, config=config)
+    records = run_sweep(workloads, techniques, scale=scale, config=config,
+                        seed=seed)
     values = {
         (wl, tech): rec.l1_hit_rate for (wl, tech), rec in records.items()
     }
@@ -198,10 +207,11 @@ def fig11_tp_on_cuda(
     workloads: Optional[Sequence[str]] = None,
     scale: float = DEFAULT_SCALE,
     config: Optional[GPUConfig] = None,
+    seed: int = 7,
 ) -> FigureResult:
     """TypePointer's gain without changing object allocation."""
     records = run_sweep(workloads, techniques=("cuda", "tp_on_cuda"),
-                        scale=scale, config=config)
+                        scale=scale, config=config, seed=seed)
     perf = normalized(records, "cycles", baseline="cuda", invert=True)
     gm = geomean_by_technique(perf)
     table = matrix_table(

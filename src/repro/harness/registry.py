@@ -126,7 +126,7 @@ def _register_all() -> None:
             description=description,
             run=lambda o, _fn=fn, _n=name: _fn(
                 workloads=o.workloads, scale=o.scale, config=o.config,
-                **o.params_for(_n),
+                seed=o.seed, **o.params_for(_n),
             ),
             render=_table_render,
             cells=_sweep_cells(techniques),
@@ -149,7 +149,7 @@ def _register_all() -> None:
         description="Table 2: workload characteristics vs published",
         run=lambda o: tables.table2_workloads(
             scale=o.scale, config=o.config, workloads=o.workloads,
-            **o.params_for("table2")
+            seed=o.seed, **o.params_for("table2")
         ),
         render=_table_render,
         cells=_sweep_cells(("cuda",)),

@@ -95,13 +95,14 @@ def table2_workloads(
     scale: float = DEFAULT_SCALE,
     config: Optional[GPUConfig] = None,
     workloads: Optional[Sequence[str]] = None,
+    seed: int = 7,
 ) -> FigureResult:
     """Workload characteristics, measured vs published."""
     rows: List[List] = []
     values: Dict = {}
     names = list(workloads) if workloads is not None else workload_names()
     for name in names:
-        rec = run_one(name, "cuda", scale=scale, config=config)
+        rec = run_one(name, "cuda", scale=scale, config=config, seed=seed)
         paper = WORKLOAD_REGISTRY[name].paper
         values[name] = {
             "objects": rec.num_objects,

@@ -67,13 +67,16 @@ def _make_micro_classes(tag: str, num_types: int) -> List[type]:
     return [Base] + leaves
 
 
-@kernel
+# Both kernels touch only their own lanes' objects and elements, and
+# branch through subcontexts, so they declare warp independence and run
+# once per wave (see repro.frontend.kernel).
+@kernel(independent_warps=True)
 def work_all(ctx, objects, Base):
     p = objects.ld(ctx, ctx.tid)
     Base.view(ctx, p).work()
 
 
-@kernel
+@kernel(independent_warps=True)
 def branch_payload(ctx, data, num_types):
     # pick the 'type' from a register value: tid % T
     ctx.alu(1)

@@ -105,3 +105,13 @@ def test_run_experiment_defaults_options():
     result = run_experiment("init", ExperimentOptions(
         params={"init": {"num_objects": 1500}}))
     assert "speedup" in render_experiment("init", result)
+
+
+def test_sweep_experiments_follow_the_seed():
+    """The options' workload seed reaches the sweep cells a figure reads."""
+    def render(seed):
+        options = ExperimentOptions(scale=0.02, seed=seed,
+                                    workloads=("GOL", "TRAF"))
+        return render_experiment("fig6", run_experiment("fig6", options))
+
+    assert render(7) != render(11)

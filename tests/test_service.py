@@ -375,3 +375,24 @@ def test_service_run_is_thread_safe():
     assert "speedup" in results["init"].render("init")
     validate_manifest(results["init"].manifest)
     validate_manifest(results["fig12b"].manifest)
+
+
+def test_service_at_another_seed_does_no_cell_work_in_the_parent(
+        monkeypatch):
+    """Figures read the cells the workers ran at the options' seed, so
+    the parent computes none itself."""
+    parent_runs = []
+    make_workload = runner.make_workload
+
+    def spy(name, *args, **kwargs):
+        if not _in_worker():
+            parent_runs.append(name)
+        return make_workload(name, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "make_workload", spy)
+    options = smoke_options(scale=0.04, workloads=("TRAF",), seed=11)
+    sweeps = [n for n in experiment_names()
+              if get_experiment(n).cells is not None]
+    run = ExperimentService(2, use_store=False).run(sweeps, options)
+    assert run.manifest["mode"] == "parallel"
+    assert parent_runs == []

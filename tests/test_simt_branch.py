@@ -140,6 +140,31 @@ class TestAtomicEdgeCases:
         with pytest.raises(ValueError):
             m.launch(kernel, 1)
 
+    def test_unsupported_op_charges_nothing(self, machine_factory):
+        m = machine_factory("cuda")
+        arr = m.array("u32", 1)
+        waves = []
+        replay = m.replay_wave
+
+        def record(traces, stats):
+            waves.append(traces)
+            replay(traces, stats)
+
+        m.replay_wave = record
+        translations = m.mmu.stats.translations
+
+        def kernel(ctx):
+            with pytest.raises(ValueError, match="xor"):
+                ctx.atomic(np.full(ctx.lane_count, arr.base, dtype=np.uint64),
+                           "u32", 1, op="xor")
+
+        stats = m.launch(kernel, 1)
+        assert stats.warp_instrs[InstrClass.MEM] == 0
+        assert stats.thread_instrs == 0
+        assert stats.global_store_transactions == 0
+        assert [t.n_accesses for t in waves[0]] == [0]
+        assert m.mmu.stats.translations == translations
+
     def test_atomics_counted_as_store_traffic(self, machine_factory):
         m = machine_factory("cuda")
         arr = m.array("u32", 32)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.gpu.coalescing import coalesce, coalesce_arrays
 from repro.gpu.stats import KernelStats
+from repro.gpu.tlb import TLBHierarchy
 from repro.gpu.trace import (
     MemoryTrace,
     POPCOUNT4,
@@ -106,6 +107,67 @@ def test_zero_lane_access_keeps_boundaries():
     trace.finalize()
     assert trace.txn_count.tolist() == [0, 1]
     assert trace.txn_start.tolist() == [0, 0]
+
+
+# ----------------------------------------------------------------------
+# a wave buffer coalesces to the traces one-warp captures give
+# ----------------------------------------------------------------------
+LANES = 4   # lanes per warp of the generated waves
+
+
+@st.composite
+def wave_streams(draw):
+    """A wave's access stream: lane batches over random lane subsets,
+    and one-warp accesses (some with no lanes)."""
+    num_warps = draw(st.integers(min_value=1, max_value=4))
+    addr = st.integers(min_value=0, max_value=1 << 19)   # 8 TLB pages
+    who = st.one_of(
+        st.tuples(st.none(), st.lists(st.tuples(st.booleans(), addr),
+                                      min_size=num_warps * LANES,
+                                      max_size=num_warps * LANES)),
+        st.tuples(st.integers(min_value=0, max_value=num_warps - 1),
+                  st.lists(addr, max_size=LANES)),
+    )
+    stream = draw(st.lists(
+        st.tuples(who, st.integers(min_value=1, max_value=64), st.booleans(),
+                  st.sampled_from([None, "roleA", "roleB"])),
+        max_size=10))
+    return num_warps, stream
+
+
+@given(wave=wave_streams())
+@settings(max_examples=80, deadline=None)
+def test_wave_buffer_equals_one_warp_captures(wave):
+    num_warps, stream = wave
+    sms = [w % 2 for w in range(num_warps)]
+    tlb_wave = TLBHierarchy(2, l1_entries=2, l2_entries=3)
+    tlb_warps = TLBHierarchy(2, l1_entries=2, l2_entries=3)
+    buf = MemoryTrace(sms, tlb=tlb_wave)
+    singles = [MemoryTrace(sm, tlb=tlb_warps) for sm in sms]
+    for (warp, lanes), width, store, role in stream:
+        rid = role_id(role)
+        if warp is None:
+            active = [i for i, (on, _) in enumerate(lanes) if on]
+            addrs = np.array([lanes[i][1] for i in active], dtype=np.uint64)
+            lane_warp = np.array(active, dtype=np.int64) // LANES
+            buf.append_access(addrs, width, store, rid, lane_warp)
+            for w in np.unique(lane_warp).tolist():
+                singles[w].append_access(addrs[lane_warp == w], width,
+                                         store, rid)
+        else:
+            addrs = np.array(lanes, dtype=np.uint64)
+            buf.append_access(addrs, width, store, rid, warp)
+            singles[warp].append_access(addrs, width, store, rid)
+
+    got_stats, want_stats = KernelStats(), KernelStats()
+    got = buf.finalize(got_stats)
+    want = [t.finalize(want_stats) for t in singles]
+    _assert_traces_equal(got, want)
+    assert [_digest(t) for t in got] == [_digest(t) for t in want]
+    assert got_stats == want_stats
+    assert list(got_stats.role_transactions) == \
+        list(want_stats.role_transactions)
+    assert tlb_wave.stats == tlb_warps.stats
 
 
 # ----------------------------------------------------------------------
