@@ -27,15 +27,21 @@ lane batch whose context spans every warp resident on the chip, and
 each charge counts once per warp that has active lanes.  The
 declaration is a promise the simulator cannot check:
 
-* no warp reads or writes memory another warp of the launch writes
-  (atomics are fine while nothing reads their result during the
-  launch: a batch applies its lanes in warp order);
+* no warp reads or writes memory another warp of the launch writes.
+  Atomics are the exception, but only while nothing reads their
+  result during the launch *and* the order they land in cannot show:
+  the op is order-insensitive (integer add/min/max), or each address
+  is updated from a single atomic site.  A batch runs each site over
+  the whole wave before the next site, so two float atomicAdd sites
+  meeting at one address (STUT's ``spring_kernel``) sum in another
+  order;
 * every charged operation under data-dependent Python control flow
   runs on a subcontext holding exactly the lanes that take it
   (``ctx.subcontext``, ``ctx.branch``, ``ctx.vcall``).
 
 Kept, the batched run's counters, traces and memory contents equal the
-per-warp run's.  The Figure 12 microbenchmark kernels keep it; a kernel
+per-warp run's.  The Figure 12 microbenchmark kernels and most Figure 6
+workload launches keep it (DESIGN.md section 5.1 lists them); a kernel
 whose warps update shared cells (traffic's ``move_kernel``) does not.
 """
 from __future__ import annotations

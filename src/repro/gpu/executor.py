@@ -187,42 +187,17 @@ class ExecutionContext:
 
         Functionally exact under lane conflicts: lanes are applied in
         order, each seeing the previous lane's result -- what the
-        hardware's serialised atomic units guarantee.  Charged as one
-        memory instruction with store-like traffic.  When every lane
-        targets a distinct address there is nothing to serialise, so
-        the update runs as one vectorized gather/modify/scatter; the
-        ordered per-lane loop is kept only for conflicting lanes.
+        hardware's serialised atomic units guarantee (``Heap.accumulate``
+        does it in one ordered vectorized update).  Charged as one
+        memory instruction with store-like traffic.
         """
         if op not in ("add", "min", "max"):
             raise ValueError(f"unsupported atomic op {op!r}")
         a = np.asarray(addrs, dtype=np.uint64)
         canonical = self.machine.mmu.translate(a)
-        np_dtype, w = SCALAR_TYPES[dtype]
+        w = SCALAR_TYPES[dtype][1]
         self._charge_transactions(canonical, w, store=True, role=role)
-        vals = np.broadcast_to(np.asarray(values, dtype=np_dtype),
-                               (len(canonical),))
-        heap = self.heap
-        lanes = canonical.tolist()
-        if lanes and len(set(lanes)) == len(lanes):
-            old = heap.gather(canonical, dtype)
-            if op == "add":
-                new = (old + vals).astype(np_dtype, copy=False)
-            elif op == "min":
-                # np.where, not np.minimum: replicates min(old, v)
-                new = np.where(vals < old, vals, old)
-            else:
-                new = np.where(vals > old, vals, old)
-            heap.scatter(canonical, dtype, new)
-            return
-        for addr, v in zip(canonical, vals):
-            old = heap.load(int(addr), dtype)
-            if op == "add":
-                new = np_dtype(old + v)
-            elif op == "min":
-                new = min(old, v)
-            else:
-                new = max(old, v)
-            heap.store(int(addr), dtype, new)
+        self.heap.accumulate(canonical, dtype, values, op)
 
     def atomic_field(self, objptrs: np.ndarray, type_desc: TypeDescriptor,
                      field: str, values, op: str = "add",

@@ -162,6 +162,8 @@ class MemoryTrace:
             if pages is not None:
                 pages.append(a // _U64_PAGE)
             return
+        if not len(a):
+            return      # no warp has lanes in this batch
         lane_key = warp.astype(np.uint64) << _WARP_SHIFT
         key = np.concatenate([lane_key, lane_key]) if straddle else lane_key
         warps, starts, uniq = _segments(np.unique(key | sectors))

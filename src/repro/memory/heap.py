@@ -30,6 +30,9 @@ SCALAR_TYPES = {
 #: scalar size -> log2(size), for aligned byte-address -> element index
 _SHIFT = {1: 0, 2: 1, 4: 2, 8: 3}
 
+#: atomic op -> the ufunc whose ``.at`` applies it in place
+_ATOMIC_UFUNCS = {"add": np.add, "min": np.minimum, "max": np.maximum}
+
 
 class Heap:
     """Byte-addressable backing store for the simulated GPU memory.
@@ -89,6 +92,13 @@ class Heap:
                 f"access at {addr:#x}+{size} beyond heap break {self._brk:#x}"
             )
 
+    def _check_lanes(self, a: np.ndarray, size: int, what: str) -> None:
+        """Range-check every lane of an int64 address array at once."""
+        if int(a.min()) < self.null_guard or int(a.max()) + size > self._brk:
+            bad = a[(a < self.null_guard) | (a + size > self._brk)][0]
+            raise InvalidAddress(
+                f"warp {what} touches invalid address {int(bad):#x}")
+
     # ------------------------------------------------------------------
     # scalar access (host-side / construction-time)
     # ------------------------------------------------------------------
@@ -118,9 +128,7 @@ class Heap:
         if addrs.size == 0:
             return np.empty(0, dtype=np_dtype)
         a = addrs.astype(np.int64, copy=False)
-        if int(a.min()) < self.null_guard or int(a.max()) + size > self._brk:
-            bad = a[(a < self.null_guard) | (a + size > self._brk)][0]
-            raise InvalidAddress(f"warp gather touches invalid address {int(bad):#x}")
+        self._check_lanes(a, size, "gather")
         if size == 1:
             return self._data[a].view(np_dtype)
         if not (a & (size - 1)).any():
@@ -141,9 +149,7 @@ class Heap:
         if addrs.size == 0:
             return
         a = addrs.astype(np.int64, copy=False)
-        if int(a.min()) < self.null_guard or int(a.max()) + size > self._brk:
-            bad = a[(a < self.null_guard) | (a + size > self._brk)][0]
-            raise InvalidAddress(f"warp scatter touches invalid address {int(bad):#x}")
+        self._check_lanes(a, size, "scatter")
         vals = np.ascontiguousarray(values, dtype=np_dtype)
         if size == 1 or not (a & (size - 1)).any():
             self._typed_view(size, np_dtype)[a >> _SHIFT[size]] = vals
@@ -151,6 +157,53 @@ class Heap:
         byte_view = vals.view(np.uint8).reshape(len(a), size)
         offsets = np.arange(size, dtype=np.int64)
         self._data[(a[:, None] + offsets[None, :]).ravel()] = byte_view.ravel()
+
+    def accumulate(self, addrs: np.ndarray, dtype: str, values,
+                   op: str = "add") -> None:
+        """Atomic read-modify-write of one scalar per lane, in lane order.
+
+        ``op`` is ``add``, ``min`` or ``max``.  Each lane sees the result
+        of every earlier lane on its address, as serialised atomic units
+        guarantee.  Every lane is range-checked before any is applied,
+        so an invalid address raises with memory untouched.
+
+        ``ufunc.at`` applies repeated indices one after another, in
+        index order, so on aligned addresses ``add`` (any dtype, integer
+        wraparound included) and integer ``min``/``max`` are one
+        ``ufunc.at`` over a typed view.  Float ``min``/``max`` keep the
+        semantics of ``min(old, v)`` -- a NaN lane value is ignored, a
+        NaN in memory sticks, and of equal values (``-0.0``/``0.0``) the
+        earlier stays -- which ``np.minimum`` does not; they, and
+        misaligned lanes (whose bytes may overlap), run lane by lane.
+        So does a float ``add`` with a NaN lane value: of two NaN
+        operands, which payload the sum keeps depends on operand order,
+        and numpy's scalar and vector adds order them differently.
+        """
+        ufunc = _ATOMIC_UFUNCS.get(op)
+        if ufunc is None:
+            raise ValueError(f"unsupported atomic op {op!r}")
+        np_dtype, size = SCALAR_TYPES[dtype]
+        if addrs.size == 0:
+            return
+        a = addrs.astype(np.int64, copy=False)
+        self._check_lanes(a, size, "atomic")
+        vals = np.broadcast_to(np.asarray(values, dtype=np_dtype), a.shape)
+        aligned = size == 1 or not (a & (size - 1)).any()
+        integer = np.issubdtype(np_dtype, np.integer)
+        if aligned and (integer or op == "add" and not np.isnan(vals).any()):
+            ufunc.at(self._typed_view(size, np_dtype), a >> _SHIFT[size],
+                     vals)
+            return
+        for addr, v in zip(a.tolist(), vals):
+            old = self.load(addr, dtype)
+            if op == "add":
+                with np.errstate(over="ignore"):    # integers wrap around
+                    new = np_dtype(old + v)
+            elif op == "min":
+                new = min(old, v)
+            else:
+                new = max(old, v)
+            self.store(addr, dtype, new)
 
     def _typed_view(self, size: int, np_dtype) -> np.ndarray:
         """A cached ``np_dtype`` view over the backing array (element

@@ -26,6 +26,7 @@ from typing import Dict
 import numpy as np
 
 from ..frontend import abstract, device_class, kernel
+from ..memory.address_space import strip_tag_array
 from ..runtime.typesystem import TypeDescriptor
 from .base import Workload
 
@@ -48,7 +49,7 @@ class Cell(Agent):
     index: "u32"
 
 
-@kernel
+@kernel(independent_warps=True)
 def count_kernel(ctx, grid, neighbor_idx):
     """Gather the 8 neighbours' ``alive`` flags into ``neighbors``."""
     ptrs = grid.ld(ctx, ctx.tid)
@@ -61,7 +62,7 @@ def count_kernel(ctx, grid, neighbor_idx):
     Cell.view(ctx, ptrs).neighbors = counts
 
 
-@kernel
+@kernel(independent_warps=True)
 def update_kernel(ctx, grid):
     """Virtual-dispatch each cell's transition rule."""
     ptrs = grid.ld(ctx, ctx.tid)
@@ -144,21 +145,40 @@ class CellularAutomaton(Workload):
         self._retype_phase()
 
     def _retype_phase(self) -> None:
-        """Destroy/recreate cells whose state changed (host side)."""
+        """Destroy/recreate cells whose state changed (host side).
+
+        Each changed cell frees its object and allocates the
+        replacement before the next cell does: allocators reuse freed
+        slots, so that order fixes every new address.  Headers, fields
+        and grid slots are then written as columns.
+        """
         m = self.machine
         lay = m.registry.layout(self.Cell)
         # one host-side gather over every cell's state field finds the
         # changed cells; only those walk the free/reconstruct path
         new_states = m.read_field(self.cell_ptrs, lay, "state")
-        changed_idx = np.flatnonzero(new_states != self.states)
-        for i in changed_idx.tolist():
-            new_state = int(new_states[i])
-            m.free_objects([int(self.cell_ptrs[i])])
-            new_ptr = self._construct_cell(i, new_state)
-            self.cell_ptrs[i] = new_ptr
-            self.grid[i] = new_ptr
-            self.states[i] = new_state
-        self._last_retyped = len(changed_idx)
+        changed = np.flatnonzero(new_states != self.states)
+        if not len(changed):
+            return
+        states = new_states[changed]
+        allocator = m.allocator
+        sizes = {s: m.registry.layout(t).size
+                 for s, t in self.state_types.items()}
+        ptrs = np.empty(len(changed), dtype=np.uint64)
+        for k, (i, s) in enumerate(zip(changed.tolist(), states.tolist())):
+            allocator.free_object(int(self.cell_ptrs[i]))
+            ptrs[k] = allocator.alloc_object(self.state_types[s], sizes[s])
+        canon = strip_tag_array(ptrs)
+        for s, tdesc in self.state_types.items():
+            sel = states == s
+            if sel.any():
+                m.strategy.on_construct_many(canon[sel], tdesc)
+        m.write_field(ptrs, lay, "alive", (states == 1).astype(np.uint32))
+        m.write_field(ptrs, lay, "state", states)
+        m.write_field(ptrs, lay, "index", changed.astype(np.uint32))
+        m.heap.scatter(self.grid.addr(changed), "u64", ptrs)
+        self.cell_ptrs[changed] = ptrs
+        self.states[changed] = states
 
     # ------------------------------------------------------------------
     def alive_count(self) -> int:

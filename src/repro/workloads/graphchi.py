@@ -213,6 +213,7 @@ class BFSvE(_GraphWorkload):
         self._set_vertex_field("level", levels)
 
     def iterate(self) -> None:
+        # per warp: atomicMin into ``level``, which later warps' edges read
         self.machine.launch(self._edge_kernel(), self.n_edges)
 
     def levels(self) -> np.ndarray:
@@ -264,6 +265,7 @@ class CCvE(_GraphWorkload):
         )
 
     def iterate(self) -> None:
+        # per warp: atomicMin into ``label``, which later warps' edges read
         self.machine.launch(self._edge_kernel(), self.n_edges)
 
     def labels(self) -> np.ndarray:
@@ -314,7 +316,9 @@ class PageRankvE(_GraphWorkload):
         self._set_vertex_field("acc", np.float32(0.0))
 
     def iterate(self) -> None:
-        self.machine.launch(self._edge_kernel(), self.n_edges)
+        # one atomicAdd site into ``acc``, which nothing reads until apply
+        self.machine.launch(self._edge_kernel(), self.n_edges,
+                            independent_warps=True)
         # apply phase: vertex data is non-virtual in the vE variant
         wl = self
 
@@ -329,7 +333,8 @@ class PageRankvE(_GraphWorkload):
             ctx.store_field(ptrs, V, "acc",
                             np.zeros(ctx.lane_count, dtype=np.float32))
 
-        self.machine.launch(apply_kernel, self.n_vertices)
+        self.machine.launch(apply_kernel, self.n_vertices,
+                            independent_warps=True)
 
     def ranks(self) -> np.ndarray:
         return self._vertex_field("rank")
@@ -347,6 +352,15 @@ class PageRankvE(_GraphWorkload):
 # ======================================================================
 class _GraphWorkloadVEN(_GraphWorkload):
     virtual_vertices = True
+
+    def iterate(self) -> None:
+        # edges read vertex values only through get_value and update
+        # next_level/next_label by integer atomicMin, or acc from one
+        # atomicAdd site; each vertex update touches its own vertex
+        self.machine.launch(self._edge_kernel(), self.n_edges,
+                            independent_warps=True)
+        self.machine.launch(self._vertex_kernel(), self.n_vertices,
+                            independent_warps=True)
 
 
 @register_workload
@@ -409,10 +423,6 @@ class BFSvEN(_GraphWorkloadVEN):
         levels[0] = 0
         self._set_vertex_field("level", levels)
         self._set_vertex_field("next_level", levels)
-
-    def iterate(self) -> None:
-        self.machine.launch(self._edge_kernel(), self.n_edges)
-        self.machine.launch(self._vertex_kernel(), self.n_vertices)
 
     def levels(self) -> np.ndarray:
         return self._vertex_field("level")
@@ -478,10 +488,6 @@ class CCvEN(_GraphWorkloadVEN):
         self._set_vertex_field("label", ids)
         self._set_vertex_field("next_label", ids)
 
-    def iterate(self) -> None:
-        self.machine.launch(self._edge_kernel(), self.n_edges)
-        self.machine.launch(self._vertex_kernel(), self.n_vertices)
-
     def labels(self) -> np.ndarray:
         return self._vertex_field("label")
 
@@ -546,10 +552,6 @@ class PageRankvEN(_GraphWorkloadVEN):
     def _init_vertex_state(self) -> None:
         self._set_vertex_field("rank", np.float32(1.0 / self.n_vertices))
         self._set_vertex_field("acc", np.float32(0.0))
-
-    def iterate(self) -> None:
-        self.machine.launch(self._edge_kernel(), self.n_edges)
-        self.machine.launch(self._vertex_kernel(), self.n_vertices)
 
     def ranks(self) -> np.ndarray:
         return self._vertex_field("rank")

@@ -161,7 +161,8 @@ class RayTracer(Workload):
             shade = (st["albedo"] / (1.0 + 0.05 * depth)).astype(np.float32)
             fb.st(ctx, ctx.tid, shade)
 
-        self.machine.launch(render_kernel, self.n_pixels)
+        self.machine.launch(render_kernel, self.n_pixels,
+                            independent_warps=True)
 
     # ------------------------------------------------------------------
     def image(self) -> np.ndarray:

@@ -207,8 +207,10 @@ class Structure(Workload):
             ptrs = nodes.ld(ctx, ctx.tid)
             ctx.vcall(ptrs, Element, "integrate")
 
+        # per warp: f32 atomicAdds from four sites meet at shared nodes,
+        # so a wave batch would reorder the float sums
         self.machine.launch(spring_kernel, self.n_springs)
-        self.machine.launch(node_kernel, self.n_nodes)
+        self.machine.launch(node_kernel, self.n_nodes, independent_warps=True)
 
     # ------------------------------------------------------------------
     def broken_count(self) -> int:

@@ -266,7 +266,9 @@ class Traffic(Workload):
             ptrs = agents.ld(ctx, ctx.tid)
             ctx.vcall(ptrs, RoadAgent, "step_move")
 
-        self.machine.launch(velocity_kernel, self.num_agents)
+        self.machine.launch(velocity_kernel, self.num_agents,
+                            independent_warps=True)
+        # per warp: warps clear and claim occupancy cells other warps read
         self.machine.launch(move_kernel, self.num_agents)
 
     # ------------------------------------------------------------------

@@ -1,9 +1,16 @@
 """Tests for the SIMT branch API and atomic edge cases."""
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.errors import LaunchError
+from repro.errors import InvalidAddress, LaunchError
+from repro.gpu.config import small_config
 from repro.gpu.isa import InstrClass
+from repro.gpu.machine import Machine
+from repro.harness.runner import ReplayMemo
+from repro.memory.heap import SCALAR_TYPES
 
 
 class TestBranch:
@@ -175,3 +182,120 @@ class TestAtomicEdgeCases:
         stats = m.launch(kernel, 32)
         assert stats.global_store_transactions == 4
         assert stats.global_load_transactions == 0
+
+
+def _heap_bytes(m):
+    heap = m.heap
+    return heap.read_array(heap.null_guard, "u8",
+                           heap.brk - heap.null_guard).tobytes()
+
+
+def reference_atomic(ctx, addrs, dtype, values, op):
+    """Atomics as a per-lane loop: the same charges as ``ctx.atomic``,
+    then each lane a scalar load and store, in lane order."""
+    np_dtype, width = SCALAR_TYPES[dtype]
+    canonical = ctx.machine.mmu.translate(np.asarray(addrs, dtype=np.uint64))
+    ctx._charge_transactions(canonical, width, store=True, role=None)
+    vals = np.broadcast_to(np.asarray(values, dtype=np_dtype),
+                           (len(canonical),))
+    for addr, v in zip(canonical.tolist(), vals):
+        old = ctx.heap.load(addr, dtype)
+        if op == "add":
+            with np.errstate(over="ignore"):
+                new = np_dtype(old + v)
+        else:
+            new = (min if op == "min" else max)(old, v)
+        ctx.heap.store(addr, dtype, new)
+
+
+_ATOMIC_DTYPES = ("u32", "i32", "u64", "f32", "f64")
+
+
+def _scalars(dtype):
+    np_dtype = SCALAR_TYPES[dtype][0]
+    if dtype[0] == "f":
+        # bias towards the values np.minimum/np.maximum treat unlike
+        # min(old, v): NaN, and -0.0 against 0.0
+        return st.one_of(st.floats(width=8 * SCALAR_TYPES[dtype][1]),
+                         st.sampled_from([np.nan, -0.0, 0.0, np.inf]))
+    info = np.iinfo(np_dtype)
+    # bias towards the extremes so adds wrap around
+    return st.one_of(st.integers(int(info.min), int(info.max)),
+                     st.sampled_from([int(info.min), int(info.max), 0, 1]))
+
+
+@st.composite
+def _atomic_cases(draw):
+    dtype = draw(st.sampled_from(_ATOMIC_DTYPES))
+    op = draw(st.sampled_from(("add", "min", "max")))
+    size = SCALAR_TYPES[dtype][1]
+    slots = draw(st.integers(1, 6))
+    lanes = draw(st.integers(1, 70))
+    # few slots for many lanes: most lanes collide
+    slot = draw(st.lists(st.integers(0, slots - 1), min_size=lanes,
+                         max_size=lanes))
+    misaligned = draw(st.booleans())
+    offset = draw(st.lists(st.integers(0, size - 1), min_size=lanes,
+                           max_size=lanes)) if misaligned else [0] * lanes
+    return {
+        "dtype": dtype, "op": op, "slots": slots,
+        "byte_addr": [s * size + o for s, o in zip(slot, offset)],
+        "initial": draw(st.lists(_scalars(dtype), min_size=slots + 1,
+                                 max_size=slots + 1)),
+        "values": draw(st.lists(_scalars(dtype), min_size=lanes,
+                                max_size=lanes)),
+        "batched": draw(st.booleans()),
+    }
+
+
+def _run_atomic(case, apply):
+    m = Machine("cuda", config=small_config())
+    m.set_replay_memo(ReplayMemo())
+    np_dtype = SCALAR_TYPES[case["dtype"]][0]
+    arr = m.array_from(np.array(case["initial"], dtype=np_dtype),
+                       case["dtype"])
+    addrs = np.uint64(arr.base) + np.array(case["byte_addr"], dtype=np.uint64)
+    values = np.array(case["values"], dtype=np_dtype)
+
+    def kernel(ctx):
+        apply(ctx, addrs[ctx.tid], case["dtype"], values[ctx.tid],
+              case["op"])
+
+    stats = m.launch(kernel, len(addrs), independent_warps=case["batched"])
+    return _heap_bytes(m), dataclasses.asdict(stats), m._trace_chain
+
+
+@settings(max_examples=60, deadline=None)
+@given(_atomic_cases())
+# -inf + inf leaves a NaN in memory, which then meets a NaN lane value
+@example({"dtype": "f32", "op": "add", "slots": 1, "byte_addr": [0, 0, 0],
+          "initial": [0.0, 0.0], "values": [-np.inf, np.inf, np.nan],
+          "batched": False})
+def test_atomic_matches_per_lane_reference(case):
+    """Ordered-accumulate atomics equal the per-lane loop: heap bytes
+    (NaN payloads and -0.0 included), stats and traces."""
+    got = _run_atomic(case, lambda ctx, a, d, v, op: ctx.atomic(a, d, v, op))
+    want = _run_atomic(case, reference_atomic)
+    assert got == want
+
+
+@pytest.mark.parametrize("dtype,op,misaligned", [
+    ("u32", "add", False),      # the vectorized ufunc.at path
+    ("f32", "min", False),      # the kept per-lane loop
+    ("u32", "add", True),       # misaligned: the per-lane loop
+])
+def test_atomic_out_of_range_lane_writes_nothing(dtype, op, misaligned):
+    m = Machine("cuda", config=small_config())
+    arr = m.array_from(np.array([10, 5, 0], dtype=SCALAR_TYPES[dtype][0]),
+                       dtype)
+    before = _heap_bytes(m)
+    base = arr.base + (1 if misaligned else 0)
+    # two lanes hit the same element, then one lies past the heap break
+    addrs = np.array([base, base, m.heap.brk + 64], dtype=np.uint64)
+
+    def kernel(ctx):
+        ctx.atomic(addrs, dtype, np.ones(3), op=op)
+
+    with pytest.raises(InvalidAddress):
+        m.launch(kernel, 1)
+    assert _heap_bytes(m) == before

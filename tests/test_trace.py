@@ -170,6 +170,26 @@ def test_wave_buffer_equals_one_warp_captures(wave):
     assert tlb_wave.stats == tlb_warps.stats
 
 
+def test_empty_lane_batch_leaves_tlb_probes_aligned():
+    """A lane batch with no active lanes records nothing, so the pages
+    of later accesses still probe the TLB under their own access."""
+    tlb_wave, tlb_warp = (TLBHierarchy(2, l1_entries=2, l2_entries=3)
+                          for _ in range(2))
+    buf = MemoryTrace([0], tlb=tlb_wave)
+    single = MemoryTrace(0, tlb=tlb_warp)
+    buf.append_access(np.empty(0, dtype=np.uint64), 1, False, 0,
+                      np.empty(0, dtype=np.int64))
+    for _ in range(2):
+        buf.append_access(np.zeros(1, dtype=np.uint64), 1, False, 0,
+                          np.zeros(1, dtype=np.int64))
+        single.append_access(np.zeros(1, dtype=np.uint64), 1, False, 0)
+    got_stats, want_stats = KernelStats(), KernelStats()
+    buf.finalize(got_stats)
+    single.finalize(want_stats)
+    assert got_stats == want_stats
+    assert tlb_wave.stats == tlb_warp.stats
+
+
 # ----------------------------------------------------------------------
 # flatten_wave preserves the round-robin replay invariant
 # ----------------------------------------------------------------------

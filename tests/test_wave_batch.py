@@ -1,11 +1,11 @@
 """Lane-batched kernels equal their per-warp runs, counter for counter.
 
-The Figure 12 microbenchmark kernels declare ``independent_warps`` and
-run once per wave.  The same functions decorated without the
-declaration run once per warp, warp after warp.  Both runs must leave
-every ``KernelStats`` field, the launch history, the heap, the replay
-memo's hash chain, the mapped pages and the constant-cache and TLB
-statistics equal.
+The Figure 12 microbenchmark kernels and 13 of the Figure 6 workloads'
+launches declare ``independent_warps`` and run once per wave.  Run
+once per warp instead, warp after warp, they must leave every
+``KernelStats`` field, the launch history, the heap, the replay memo's
+hash chain, the mapped pages and the constant-cache and TLB statistics
+equal.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from repro.gpu.config import small_config
 from repro.gpu.machine import Machine
 from repro.harness.runner import ReplayMemo
 from repro.techniques import available
-from repro.workloads import microbench
+from repro.workloads import make_workload, microbench, workload_names
 from repro.workloads.microbench import BranchMicrobench, ObjectMicrobench
 
 #: 8-warp waves keep the per-warp side cheap; 529 threads are then 17
@@ -81,3 +81,73 @@ def test_batched_equals_per_warp(monkeypatch, technique, num_types, config):
     assert batched["stats"]["cycles"] > 0
     for key in per_warp:
         assert batched[key] == per_warp[key], key
+
+
+# ----------------------------------------------------------------------
+# Figure 6 workloads
+# ----------------------------------------------------------------------
+FIG6_CONFIG = small_config().with_overrides(model_tlb=True, **_WAVES)
+FIG6_TECHNIQUES = ("cuda", "concord", "coal", "typepointer_proto", "soa")
+FIG6_SCALE = 0.02
+
+#: the launches that break the contract and stay per warp
+PER_WARP = {
+    "TRAF": {"move_kernel"},        # warps claim shared occupancy cells
+    "STUT": {"spring_kernel"},      # f32 atomicAdds from four sites
+    "BFS-vE": {"kernel"},           # atomicMin into the level it reads
+    "CC-vE": {"kernel"},            # atomicMin into the label it reads
+}
+
+
+def _force_launches(monkeypatch, batched):
+    """Run every launch with ``independent_warps=batched(label, declared)``
+    and record ``(label, declared)`` per launch."""
+    launch = Machine.launch
+    seen = []
+
+    def forced(self, kernel, num_threads, label=None,
+               independent_warps=False):
+        name = label or kernel.__name__
+        seen.append((name, independent_warps))
+        return launch(self, kernel, num_threads, label=label,
+                      independent_warps=batched(name, independent_warps))
+
+    monkeypatch.setattr(Machine, "launch", forced)
+    return seen
+
+
+def _run_fig6(workload: str, technique: str) -> dict:
+    machine = Machine(technique, config=FIG6_CONFIG)
+    machine.set_replay_memo(ReplayMemo())
+    wl = make_workload(workload, machine, scale=FIG6_SCALE, seed=11)
+    out = _observe(machine, wl.run(iterations=1))
+    out["checksum"] = wl.checksum()
+    return out
+
+
+@pytest.mark.parametrize("technique", FIG6_TECHNIQUES)
+@pytest.mark.parametrize("workload", workload_names())
+def test_fig6_batched_equals_per_warp(monkeypatch, workload, technique):
+    seen = _force_launches(monkeypatch, lambda name, declared: declared)
+    batched = _run_fig6(workload, technique)
+    assert {name for name, declared in seen if not declared} == \
+        PER_WARP.get(workload, set())
+
+    _force_launches(monkeypatch, lambda name, declared: False)
+    per_warp = _run_fig6(workload, technique)
+
+    for key in per_warp:
+        assert batched[key] == per_warp[key], key
+
+
+@pytest.mark.parametrize("technique", FIG6_TECHNIQUES)
+def test_batching_spring_kernel_reorders_its_float_sums(monkeypatch,
+                                                        technique):
+    """Why STUT's ``spring_kernel`` stays per warp: run once per wave,
+    each atomic site adds over the whole wave before the next site
+    does, so the nodes' f32 force sums come out in another order."""
+    per_warp = _run_fig6("STUT", technique)
+    _force_launches(monkeypatch, lambda name, declared:
+                    declared or name == "spring_kernel")
+    batched = _run_fig6("STUT", technique)
+    assert batched["heap"] != per_warp["heap"]

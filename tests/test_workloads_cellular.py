@@ -1,10 +1,14 @@
 """Functional tests for GOL and GEN against pure-numpy references."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.gpu.config import small_config
 from repro.gpu.machine import Machine
+from repro.techniques import available
 from repro.workloads import make_workload
+from repro.workloads.base import WORKLOAD_REGISTRY
 
 
 @pytest.fixture
@@ -79,3 +83,61 @@ class TestGeneration:
         gen.iterate()
         dying_now = set(np.flatnonzero(gen.states == 2))
         assert alive_before == dying_now
+
+
+class PerCellRetype:
+    """The retype phase as it ran cell by cell, kept verbatim as the
+    reference the batched phase must equal: each changed cell is freed,
+    reconstructed through ``Machine.new_objects`` and scalar
+    ``write_field`` calls, and stored into the grid on its own."""
+
+    def _construct_cell(self, index: int, state: int) -> int:
+        m = self.machine
+        tdesc = self.state_types[state]
+        ptr = m.new_objects(tdesc, 1)[0]
+        lay = m.registry.layout(tdesc)
+        m.write_field(ptr, lay, "alive", 1 if state == 1 else 0)
+        m.write_field(ptr, lay, "state", state)
+        m.write_field(ptr, lay, "index", index)
+        return int(ptr)
+
+    def _retype_phase(self) -> None:
+        m = self.machine
+        lay = m.registry.layout(self.Cell)
+        new_states = m.read_field(self.cell_ptrs, lay, "state")
+        changed_idx = np.flatnonzero(new_states != self.states)
+        for i in changed_idx.tolist():
+            new_state = int(new_states[i])
+            m.free_objects([int(self.cell_ptrs[i])])
+            new_ptr = self._construct_cell(i, new_state)
+            self.cell_ptrs[i] = new_ptr
+            self.grid[i] = new_ptr
+            self.states[i] = new_state
+
+
+def _retype_run(cls, technique):
+    m = Machine(technique, config=small_config())
+    wl = cls(m, scale=0.02, seed=5)
+    wl.run(iterations=3)
+    heap = m.heap
+    return {
+        "heap": heap.read_array(heap.null_guard, "u8",
+                                heap.brk - heap.null_guard).tobytes(),
+        "cell_ptrs": wl.cell_ptrs.tolist(),
+        "grid": wl.grid.read().tolist(),
+        "states": wl.states.tolist(),
+        "alloc": dataclasses.asdict(m.allocator.stats),
+        "stats": dataclasses.asdict(m.run_stats),
+    }
+
+
+@pytest.mark.parametrize("technique", available())
+@pytest.mark.parametrize("name", ["GOL", "GEN"])
+def test_batched_retype_equals_per_cell_reference(name, technique):
+    cls = WORKLOAD_REGISTRY[name]
+    reference = type(f"PerCell{cls.__name__}", (PerCellRetype, cls), {})
+    got = _retype_run(cls, technique)
+    want = _retype_run(reference, technique)
+    assert got["alloc"]["frees"] > 0      # cells did retype
+    for key in want:
+        assert got[key] == want[key], key
