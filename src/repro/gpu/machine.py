@@ -149,28 +149,47 @@ class Machine:
                 self.arena.ensure_type(member)
             self._registered.add(t)
 
-    def new_objects(self, type_desc: TypeDescriptor, count: int) -> np.ndarray:
-        """Allocate and construct ``count`` objects; returns their pointers.
+    def new_objects(self, types, count: Optional[int] = None) -> np.ndarray:
+        """Allocate and construct objects; returns their pointers.
+
+        ``new_objects(T, count)`` builds ``count`` objects of type
+        ``T``.  ``new_objects([T0, T1, ...])`` builds one object per
+        entry, in order: a site that interleaves types passes them as
+        one sequence, because the CUDA allocator's placement follows the
+        global call order across types.  Either form places the whole
+        batch with one ``Allocator.alloc_many`` -- exactly the pointers
+        and heap bytes a loop of single allocations gives -- and writes
+        headers once per distinct type.
 
         Pointers are tagged under TypePointer techniques.  Construction
         (header writes) is host-side, matching the paper's methodology
         of excluding object initialisation from kernel measurements.
         """
-        self.register(type_desc)
-        layout = self.registry.layout(type_desc)
-        alloc = self.allocator.alloc_object
-        if count == 1:
-            ptr = alloc(type_desc, layout.size)
-            self.strategy.on_construct(
-                self.allocator._canonical(ptr), type_desc
-            )
-            return np.array([ptr], dtype=np.uint64)
-        ptrs = np.empty(count, dtype=np.uint64)
-        for i in range(count):
-            ptrs[i] = alloc(type_desc, layout.size)
-        # batched header writes (strip_tag_array is every allocator's
-        # _canonical, vectorised: identity when pointers carry no tag)
-        self.strategy.on_construct_many(strip_tag_array(ptrs), type_desc)
+        if isinstance(types, TypeDescriptor):
+            if count is None:
+                raise TypeError("new_objects(type, count) needs a count")
+            distinct = [types]
+            type_keys = [types] * count
+        else:
+            if count is not None:
+                raise TypeError("a sequence of types takes no count")
+            type_keys = list(types)
+            distinct = list(dict.fromkeys(type_keys))
+        self.register(*distinct)
+        size = {t: self.registry.layout(t).size for t in distinct}
+        ptrs = self.allocator.alloc_many(type_keys,
+                                         [size[t] for t in type_keys])
+        # strip_tag_array is every allocator's _canonical, vectorised:
+        # identity when pointers carry no tag
+        canon = strip_tag_array(ptrs)
+        if len(distinct) == 1:
+            self.strategy.on_construct_many(canon, distinct[0])
+            return ptrs
+        code = {t: i for i, t in enumerate(distinct)}
+        kind = np.fromiter((code[t] for t in type_keys), dtype=np.int64,
+                           count=len(type_keys))
+        for i, t in enumerate(distinct):
+            self.strategy.on_construct_many(canon[kind == i], t)
         return ptrs
 
     def free_objects(self, ptrs: Iterable[int]) -> None:

@@ -70,6 +70,13 @@ def strip_tag(ptr: int) -> int:
     return ptr & ADDR_MASK
 
 
+def encode_tag_array(addrs: np.ndarray, tags: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`encode_tag` (canonical ``addrs``, 15-bit ``tags``)."""
+    return np.bitwise_or(addrs.astype(np.uint64, copy=False),
+                         np.left_shift(tags.astype(np.uint64, copy=False),
+                                       _U64_VA_BITS))
+
+
 def strip_tag_array(ptrs: np.ndarray) -> np.ndarray:
     """Vectorised :func:`strip_tag` for a warp's worth of pointers."""
     return np.bitwise_and(ptrs.astype(np.uint64, copy=False), _U64_ADDR_MASK)

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
-from ..errors import DoubleFree
+from ..errors import AllocatorError, DoubleFree
 from .heap import Heap
 
 
@@ -46,6 +46,25 @@ class AllocationStats:
     @property
     def live_allocations(self) -> int:
         return self.allocations - self.frees
+
+
+def check_strides(type_keys: List[Hashable], sizes: List[int],
+                  stride_for: Callable[[int], int],
+                  known: Callable[[Hashable], Optional[int]]) -> None:
+    """Raise :class:`AllocatorError` if a batch gives a type two strides,
+    or one other than the stride ``known(type_key)`` already fixed --
+    the check SharedOA's and SoA's ``_place_object`` make per object."""
+    strides: Dict[Hashable, int] = {}
+    for t, s in dict.fromkeys(zip(type_keys, sizes)):
+        stride = stride_for(s)
+        if t not in strides:
+            fixed = known(t)
+            strides[t] = stride if fixed is None else fixed
+        if strides[t] != stride:
+            raise AllocatorError(
+                f"type {t!r} allocated with inconsistent sizes "
+                f"({strides[t]} vs {stride})"
+            )
 
 
 class Allocator(abc.ABC):
@@ -97,6 +116,49 @@ class Allocator(abc.ABC):
         layout override this to zero exactly the cells the object owns.
         """
         self.heap.fill(addr, size, 0)
+
+    def alloc_many(self, type_keys: Sequence[Hashable],
+                   sizes: Sequence[int]) -> np.ndarray:
+        """Allocate one object per ``(type_keys[i], sizes[i])``, in order.
+
+        The batched mirror of :meth:`alloc_object`: it returns exactly
+        the pointers, heap bytes and allocator state that the same
+        sequence of ``alloc_object`` calls gives.  Placement stays the
+        per-object ``_place_object`` walk (it fixes every address), but
+        the whole batch is validated before anything is placed -- a
+        failing batch leaves the allocator and heap untouched -- the
+        statistics move once, and zeroing goes by runs.
+        """
+        type_keys = list(type_keys)
+        sizes = [int(s) for s in sizes]
+        self._check_batch(type_keys, sizes)
+        n = len(type_keys)
+        if not n:
+            return np.empty(0, dtype=np.uint64)
+        place = self._place_object
+        addrs = [place(t, s) for t, s in zip(type_keys, sizes)]
+        self._live.update(zip(addrs, zip(type_keys, sizes)))
+        self.stats.allocations += n
+        self.stats.live_bytes += sum(sizes)
+        self.stats.modeled_alloc_cycles += n * self.ALLOC_CYCLE_COST
+        obs.count("memory.alloc_objects", n)
+        self._zero_many(addrs, type_keys, sizes)
+        return np.array(addrs, dtype=np.uint64)
+
+    def _check_batch(self, type_keys: List[Hashable],
+                     sizes: List[int]) -> None:
+        """Raise for any entry ``_place_object`` would reject."""
+        if len(sizes) != len(type_keys):
+            raise ValueError(f"{len(type_keys)} type keys but "
+                             f"{len(sizes)} sizes")
+        if sizes and min(sizes) <= 0:
+            raise ValueError(
+                f"object size must be positive, got {min(sizes)}")
+
+    def _zero_many(self, addrs: List[int], type_keys: List[Hashable],
+                   sizes: List[int]) -> None:
+        """Batched :meth:`_zero_object` (contiguous objects by default)."""
+        self.heap.zero_ranges(addrs, sizes)
 
     def free_object(self, ptr: int) -> None:
         """Free a pointer previously returned by :meth:`alloc_object`."""

@@ -236,3 +236,28 @@ class Heap:
         """memset ``size`` bytes at ``addr``."""
         self._check_range(addr, size)
         self._data[addr : addr + size] = byte
+
+    def zero_ranges(self, addrs, sizes) -> None:
+        """Zero ``sizes[i]`` bytes at each ``addrs[i]`` (disjoint ranges).
+
+        Ranges that abut merge into one run and each run is one slice
+        store, so a batch of bump-allocated objects is one memset
+        however many objects it holds.  Every range is checked before
+        any byte is written.
+        """
+        lo = np.asarray(addrs, dtype=np.int64)
+        if lo.size == 0:
+            return
+        order = np.argsort(lo, kind="stable")
+        lo = lo[order]
+        hi = lo + np.broadcast_to(np.asarray(sizes, dtype=np.int64),
+                                  order.shape)[order]
+        if int(lo[0]) < self.null_guard or int(hi.max()) > self._brk:
+            bad = lo[(lo < self.null_guard) | (hi > self._brk)][0]
+            raise InvalidAddress(f"zeroing touches invalid address {int(bad):#x}")
+        # a run starts wherever a range does not begin where the last ended
+        first = np.flatnonzero(lo[1:] != hi[:-1]) + 1
+        data = self._data
+        for a, b in zip(lo[np.r_[0, first]].tolist(),
+                        hi[np.r_[first - 1, lo.size - 1]].tolist()):
+            data[a:b] = 0

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import AllocatorError
 from .address_space import align_up
-from .allocators import Allocator
+from .allocators import Allocator, check_strides
 from .heap import Heap
 
 #: Object alignment inside a region.
@@ -128,6 +128,13 @@ class SharedOAAllocator(Allocator):
                 return region.take_slot()
         region = self._grow_type(type_key, stride, regions)
         return region.take_slot()
+
+    def _check_batch(self, type_keys, sizes) -> None:
+        super()._check_batch(type_keys, sizes)
+        regions = self._regions_by_type
+        check_strides(type_keys, sizes, self._stride_for,
+                      lambda t: regions[t][0].stride if regions.get(t)
+                      else None)
 
     def _grow_type(
         self, type_key: Hashable, stride: int, regions: List[Region]

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..errors import AllocatorError, InvalidAddress
 from .address_space import align_up
-from .allocators import Allocator
+from .allocators import Allocator, check_strides
 from .heap import SCALAR_TYPES, Heap
 
 #: Objects per block: one 64-bit occupancy bitmap word (DynaSOAr).
@@ -142,6 +142,19 @@ class SoaAllocator(Allocator):
         if block.full():
             avail.pop()
         return block.base + slot * self.header_size
+
+    def _check_batch(self, type_keys, sizes) -> None:
+        super()._check_batch(type_keys, sizes)
+        small = min(sizes, default=self.header_size)
+        if self._stride_for(small) < self.header_size:
+            raise AllocatorError(
+                f"SoA object of {small} bytes is smaller than its "
+                f"{self.header_size}-byte header"
+            )
+        blocks = self._blocks_by_type
+        check_strides(type_keys, sizes, self._stride_for,
+                      lambda t: blocks[t][0].stride if blocks.get(t)
+                      else None)
 
     def _grow_type(self, type_key: Hashable, stride: int,
                    blocks: List[SoaBlock]) -> SoaBlock:
@@ -284,6 +297,26 @@ class SoaAllocator(Allocator):
         for off, cell in self._plan(type_key, block.stride):
             self.heap.fill(block.base + BLOCK_CAPACITY * off + slot * cell,
                            cell, 0)
+
+    def _zero_many(self, addrs, type_keys, sizes) -> None:
+        """Zero each object's header and field cells, column by column:
+        consecutive slots of one block make one run per column."""
+        a = np.asarray(addrs, dtype=np.int64)
+        bases = self._bases().astype(np.int64)
+        base = bases[np.searchsorted(bases, a, side="right") - 1]
+        slot = (a - base) // self.header_size
+        codes: Dict[Hashable, int] = {}
+        kind = np.fromiter((codes.setdefault(t, len(codes))
+                            for t in type_keys), dtype=np.int64, count=a.size)
+        starts, lengths = [], []
+        for type_key, code in codes.items():
+            sel = kind == code
+            stride = self._blocks_by_type[type_key][0].stride
+            for off, cell in self._plan(type_key, stride):
+                starts.append(base[sel] + BLOCK_CAPACITY * off
+                              + slot[sel] * cell)
+                lengths.append(np.full(starts[-1].size, cell, np.int64))
+        self.heap.zero_ranges(np.concatenate(starts), np.concatenate(lengths))
 
     # ------------------------------------------------------------------
     # introspection

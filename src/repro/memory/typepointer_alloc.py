@@ -14,7 +14,7 @@ wrapper accepts either.
 """
 from __future__ import annotations
 
-from typing import Callable, Hashable, List, Optional, Tuple
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .address_space import (
     MAX_TAG,
     decode_tag,
     encode_tag,
+    encode_tag_array,
     strip_tag,
     strip_tag_array,
 )
@@ -41,19 +42,51 @@ class TypePointerAllocator(Allocator):
         self.heap = inner.heap
         self.stats = inner.stats
         self._tag_for_type = tag_for_type
+        #: whether any tag has been asked for yet (see alloc_many)
+        self._tagged = False
         self.name = f"TypePointer({inner.name})"
 
     # ------------------------------------------------------------------
-    def alloc_object(self, type_key: Hashable, size: int) -> int:
-        addr = self.inner.alloc_object(type_key, size)
+    def _tag(self, type_key: Hashable) -> int:
         tag = self._tag_for_type(type_key)
+        self._tagged = True
         if not 0 <= tag <= MAX_TAG:
             raise TypeTagOverflow(
                 f"vTable offset {tag} for {type_key!r} exceeds the 15-bit "
                 f"tag space ({MAX_TAG}); see paper section 6.1 for the "
                 f"index-based fallback"
             )
-        return encode_tag(addr, tag)
+        return tag
+
+    def alloc_object(self, type_key: Hashable, size: int) -> int:
+        addr = self.inner.alloc_object(type_key, size)
+        return encode_tag(addr, self._tag(type_key))
+
+    def alloc_many(self, type_keys: Sequence[Hashable],
+                   sizes: Sequence[int]) -> np.ndarray:
+        """Batched :meth:`alloc_object`: the inner batch, tagged.
+
+        Sizes are checked first, then one tag per distinct type, then
+        the inner allocator places the batch.  Asking for a tag may
+        reserve memory -- the index-encoded vTable region is sbrk'd on
+        the first request -- and ``alloc_object`` asks only once its
+        object is placed.  So before a wrapper's first tag, the batch's
+        first object goes through ``alloc_object``, which keeps every
+        later region where the scalar sequence puts it; that object is
+        then placed before the other entries' tags are checked.
+        """
+        type_keys, sizes = list(type_keys), list(sizes)
+        self.inner._check_batch(type_keys, sizes)
+        head = []
+        if type_keys and not self._tagged:
+            head = [self.alloc_object(type_keys[0], sizes[0])]
+            type_keys, sizes = type_keys[1:], sizes[1:]
+        tags = {t: self._tag(t) for t in dict.fromkeys(type_keys)}
+        addrs = self.inner.alloc_many(type_keys, sizes)
+        tagged = encode_tag_array(addrs, np.fromiter(
+            (tags[t] for t in type_keys), dtype=np.uint64,
+            count=len(type_keys)))
+        return np.concatenate((np.array(head, dtype=np.uint64), tagged))
 
     def free_object(self, ptr: int) -> None:
         self.inner.free_object(strip_tag(ptr))

@@ -108,11 +108,10 @@ class CellularAutomaton(Workload):
 
         states = self._initial_states(rng)
         self.states = states
-        ptrs = np.empty(self.n_cells, dtype=np.uint64)
-        for i in range(self.n_cells):
-            ptrs[i] = self._construct_cell(i, int(states[i]))
-        self.cell_ptrs = ptrs
-        self.grid = m.array_from(ptrs, "u64")
+        self.cell_ptrs = m.new_objects(
+            [self.state_types[s] for s in states.tolist()])
+        self._write_cells(self.cell_ptrs, np.arange(self.n_cells), states)
+        self.grid = m.array_from(self.cell_ptrs, "u64")
 
         # neighbour index table (8 per cell, torus wrap), precomputed
         idx = np.arange(self.n_cells)
@@ -127,15 +126,15 @@ class CellularAutomaton(Workload):
                 ny = (y + dy) % self.height
                 self._neighbor_idx.append((ny * self.width + nx).astype(np.int64))
 
-    def _construct_cell(self, index: int, state: int) -> int:
+    def _write_cells(self, ptrs: np.ndarray, index: np.ndarray,
+                     states: np.ndarray) -> None:
+        """Write the ``alive``, ``state`` and ``index`` columns of newly
+        built cells."""
         m = self.machine
-        tdesc = self.state_types[state]
-        ptr = m.new_objects(tdesc, 1)[0]
-        lay = m.registry.layout(tdesc)
-        m.write_field(ptr, lay, "alive", 1 if state == 1 else 0)
-        m.write_field(ptr, lay, "state", state)
-        m.write_field(ptr, lay, "index", index)
-        return int(ptr)
+        lay = m.registry.layout(self.Cell)
+        m.write_field(ptrs, lay, "alive", (states == 1).astype(np.uint32))
+        m.write_field(ptrs, lay, "state", states)
+        m.write_field(ptrs, lay, "index", index.astype(np.uint32))
 
     # ------------------------------------------------------------------
     def iterate(self) -> None:
@@ -173,9 +172,7 @@ class CellularAutomaton(Workload):
             sel = states == s
             if sel.any():
                 m.strategy.on_construct_many(canon[sel], tdesc)
-        m.write_field(ptrs, lay, "alive", (states == 1).astype(np.uint32))
-        m.write_field(ptrs, lay, "state", states)
-        m.write_field(ptrs, lay, "index", changed.astype(np.uint32))
+        self._write_cells(ptrs, changed, states)
         m.heap.scatter(self.grid.addr(changed), "u64", ptrs)
         self.cell_ptrs[changed] = ptrs
         self.states[changed] = states

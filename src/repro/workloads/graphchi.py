@@ -82,25 +82,17 @@ class _GraphWorkload(Workload):
         m.register(self.Edge, self.Vertex)
 
         # vertex objects first, then edge objects (construction order)
-        vptrs = np.empty(n, dtype=np.uint64)
-        vlay = m.registry.layout(self.Vertex)
-        for i in range(n):
-            p = m.new_objects(self.Vertex, 1)[0]
-            m.write_field(p, vlay, "vid", i)
-            m.write_field(p, vlay, "degree", int(self.out_degree[i]))
-            vptrs[i] = p
-        self.vertex_ptrs = vptrs
-        self.vertices = m.array_from(vptrs, "u64")
+        self.vertex_ptrs = m.new_objects(self.Vertex, n)
+        m.write_field(self.vertex_ptrs, self.Vertex, "vid",
+                      np.arange(n, dtype=np.uint32))
+        m.write_field(self.vertex_ptrs, self.Vertex, "degree",
+                      self.out_degree)
+        self.vertices = m.array_from(self.vertex_ptrs, "u64")
 
-        eptrs = np.empty(self.n_edges, dtype=np.uint64)
-        elay = m.registry.layout(self.Edge)
-        for j in range(self.n_edges):
-            p = m.new_objects(self.Edge, 1)[0]
-            m.write_field(p, elay, "src", int(self.edge_src[j]))
-            m.write_field(p, elay, "dst", int(self.edge_dst[j]))
-            eptrs[j] = p
-        self.edge_ptrs = eptrs
-        self.edges = m.array_from(eptrs, "u64")
+        self.edge_ptrs = m.new_objects(self.Edge, self.n_edges)
+        m.write_field(self.edge_ptrs, self.Edge, "src", self.edge_src)
+        m.write_field(self.edge_ptrs, self.Edge, "dst", self.edge_dst)
+        self.edges = m.array_from(self.edge_ptrs, "u64")
 
         self._init_vertex_state()
 
@@ -125,20 +117,20 @@ class _GraphWorkload(Workload):
     def _edge_kernel(self):
         edges, ChiEdge = self.edges, self.ChiEdge
 
-        def kernel(ctx):
+        def edge_kernel(ctx):
             ptrs = edges.ld(ctx, ctx.tid)
             ctx.vcall(ptrs, ChiEdge, "process")
 
-        return kernel
+        return edge_kernel
 
     def _vertex_kernel(self):
         vertices, ChiVertex = self.vertices, self.ChiVertex
 
-        def kernel(ctx):
+        def vertex_kernel(ctx):
             ptrs = vertices.ld(ctx, ctx.tid)
             ctx.vcall(ptrs, ChiVertex, "update")
 
-        return kernel
+        return vertex_kernel
 
 
 # ======================================================================

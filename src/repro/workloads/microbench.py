@@ -109,21 +109,12 @@ class ObjectMicrobench:
         self.leaves = [c.descriptor() for c in self.leaf_classes]
         machine.register(*self.leaves)
 
-        # allocate round-robin over types so each warp sees num_types
-        # distinct types (the Figure 12b axis)
+        # allocate type by type, then deal the pointers round-robin so
+        # each warp sees num_types distinct types (the Figure 12b axis)
         ptrs = np.empty(num_objects, dtype=np.uint64)
-        per_type: List[List[int]] = [[] for _ in self.leaves]
-        counts = [0] * num_types
-        for i in range(num_objects):
-            counts[i % num_types] += 1
-        for t, n in enumerate(counts):
-            if n:
-                per_type[t] = list(machine.new_objects(self.leaves[t], n))
-        cursors = [0] * num_types
-        for i in range(num_objects):
-            t = i % num_types
-            ptrs[i] = per_type[t][cursors[t]]
-            cursors[t] += 1
+        for t, leaf in enumerate(self.leaves):
+            dealt = ptrs[t::num_types]
+            dealt[:] = machine.new_objects(leaf, dealt.size)
         self.ptrs = ptrs
         self.objects = machine.array_from(ptrs, "u64")
 

@@ -50,23 +50,18 @@ class RayTracer(Workload):
         self._make_types()
         m.register(self.Sphere, self.Plane)
 
-        ptrs = []
-        slay = m.registry.layout(self.Sphere)
-        for _ in range(n_spheres):
-            p = m.new_objects(self.Sphere, 1)[0]
-            m.write_field(p, slay, "cx", float(rng.uniform(-6, 6)))
-            m.write_field(p, slay, "cy", float(rng.uniform(-4, 4)))
-            m.write_field(p, slay, "cz", float(rng.uniform(4, 18)))
-            m.write_field(p, slay, "radius", float(rng.uniform(0.4, 1.6)))
-            m.write_field(p, slay, "albedo", float(rng.uniform(0.2, 1.0)))
-            ptrs.append(int(p))
-        play = m.registry.layout(self.Plane)
-        for k in range(n_planes):
-            p = m.new_objects(self.Plane, 1)[0]
-            m.write_field(p, play, "y0", float(-5.0 - k * 1.5))
-            m.write_field(p, play, "albedo", float(0.15 + 0.1 * (k % 3)))
-            ptrs.append(int(p))
-        self.scene_ptrs = ptrs
+        # each sphere draws cx, cy, cz, radius, albedo in turn; one draw
+        # over (sphere, field) bounds takes them in that same order
+        u = rng.uniform([-6, -4, 4, 0.4, 0.2], [6, 4, 18, 1.6, 1.0],
+                        size=(n_spheres, 5))
+        spheres = m.new_objects(self.Sphere, n_spheres)
+        for j, f in enumerate(("cx", "cy", "cz", "radius", "albedo")):
+            m.write_field(spheres, self.Sphere, f, u[:, j])
+        planes = m.new_objects(self.Plane, n_planes)
+        k = np.arange(n_planes)
+        m.write_field(planes, self.Plane, "y0", -5.0 - k * 1.5)
+        m.write_field(planes, self.Plane, "albedo", 0.15 + 0.1 * (k % 3))
+        self.scene_ptrs = np.concatenate((spheres, planes)).tolist()
         self.framebuffer = m.array("f32", self.n_pixels)
         self.framebuffer.write(np.zeros(self.n_pixels, dtype=np.float32))
 

@@ -52,45 +52,33 @@ class Structure(Workload):
         m.register(self.Spring, self.Node, self.AnchorNode)
 
         # nodes: the top row is anchored
-        node_ptrs = np.empty(w * h, dtype=np.uint64)
-        for i in range(w * h):
-            x, y = i % w, i // w
-            tdesc = self.AnchorNode if y == 0 else self.Node
-            p = m.new_objects(tdesc, 1)[0]
-            lay = m.registry.layout(tdesc)
-            m.write_field(p, lay, "pos_x", float(x))
-            m.write_field(p, lay, "pos_y", float(-y))
-            m.write_field(p, lay, "force_y", float(GRAVITY))
-            node_ptrs[i] = p
-        self.node_ptrs = node_ptrs
-        self.nodes = m.array_from(node_ptrs, "u64")
-        self.n_nodes = w * h
+        n = w * h
+        i = np.arange(n)
+        self.node_ptrs = m.new_objects([self.AnchorNode] * w
+                                       + [self.Node] * (n - w))
+        m.write_field(self.node_ptrs, self.NodeBase, "pos_x", i % w)
+        m.write_field(self.node_ptrs, self.NodeBase, "pos_y", -(i // w))
+        m.write_field(self.node_ptrs, self.NodeBase, "force_y", GRAVITY)
+        self.nodes = m.array_from(self.node_ptrs, "u64")
+        self.n_nodes = n
 
-        # springs: horizontal and vertical neighbours, randomised strength
-        pairs = []
-        for y in range(h):
-            for x in range(w):
-                i = y * w + x
-                if x + 1 < w:
-                    pairs.append((i, i + 1))
-                if y + 1 < h:
-                    pairs.append((i, i + w))
-        spring_ptrs = np.empty(len(pairs), dtype=np.uint64)
-        for j, (a, b) in enumerate(pairs):
-            p = m.new_objects(self.Spring, 1)[0]
-            lay = m.registry.layout(self.Spring)
-            m.write_field(p, lay, "node_a", int(node_ptrs[a]))
-            m.write_field(p, lay, "node_b", int(node_ptrs[b]))
-            # the lattice is assembled pre-stretched (rest < spacing), so
-            # weak springs fail immediately and the fracture cascades
-            m.write_field(p, lay, "rest", 0.85)
-            m.write_field(p, lay, "stiffness", 1.2)
-            m.write_field(p, lay, "max_force",
-                          float(0.15 + 0.6 * rng.random()))
-            spring_ptrs[j] = p
-        self.spring_ptrs = spring_ptrs
-        self.springs = m.array_from(spring_ptrs, "u64")
-        self.n_springs = len(pairs)
+        # springs: each node's right, then lower neighbour, node by node;
+        # randomised strength
+        ends = np.stack([i + 1, i + w], axis=1)
+        has = np.stack([i % w + 1 < w, i // w + 1 < h], axis=1)
+        a, b = np.broadcast_to(i[:, None], ends.shape)[has], ends[has]
+        self.n_springs = len(a)
+        self.spring_ptrs = m.new_objects(self.Spring, self.n_springs)
+        S = self.Spring
+        m.write_field(self.spring_ptrs, S, "node_a", self.node_ptrs[a])
+        m.write_field(self.spring_ptrs, S, "node_b", self.node_ptrs[b])
+        # the lattice is assembled pre-stretched (rest < spacing), so
+        # weak springs fail immediately and the fracture cascades
+        m.write_field(self.spring_ptrs, S, "rest", 0.85)
+        m.write_field(self.spring_ptrs, S, "stiffness", 1.2)
+        m.write_field(self.spring_ptrs, S, "max_force",
+                      0.15 + 0.6 * rng.random(self.n_springs))
+        self.springs = m.array_from(self.spring_ptrs, "u64")
 
     # ------------------------------------------------------------------
     def _make_types(self) -> None:

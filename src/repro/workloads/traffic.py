@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..runtime.naming import mint_tag
 from ..runtime.typesystem import TypeDescriptor
 from .base import PaperCharacteristics, Workload, register_workload
 
@@ -37,6 +38,7 @@ class TrafficTypes:
 
     def __init__(self, wl: "Traffic"):
         road = wl  # closed over by the method implementations
+        tag = mint_tag("traf")
 
         def vehicle_velocity(ctx, objs, vmax):
             base = road.RoadAgent
@@ -112,34 +114,34 @@ class TrafficTypes:
                             (count + occ).astype(np.uint32))
 
         self.RoadAgent = TypeDescriptor(
-            f"RoadAgent#{id(wl):x}",
+            f"RoadAgent#{tag}",
             fields=[("pos", "u32")],
             methods={"step_velocity": None, "step_move": None},
         )
         self.Vehicle = TypeDescriptor(
-            f"Vehicle#{id(wl):x}",
+            f"Vehicle#{tag}",
             fields=[("vel", "u32"), ("rand_state", "u32"), ("dist", "u32")],
             base=self.RoadAgent,
         )
         self.Car = TypeDescriptor(
-            f"Car#{id(wl):x}",
+            f"Car#{tag}",
             base=self.Vehicle,
             methods={"step_velocity": car_velocity, "step_move": vehicle_move},
         )
         self.Truck = TypeDescriptor(
-            f"Truck#{id(wl):x}",
+            f"Truck#{tag}",
             fields=[("cargo", "u32")],
             base=self.Vehicle,
             methods={"step_velocity": truck_velocity, "step_move": vehicle_move},
         )
         self.TrafficLight = TypeDescriptor(
-            f"TrafficLight#{id(wl):x}",
+            f"TrafficLight#{tag}",
             fields=[("timer", "u32"), ("period", "u32"), ("phase", "u32")],
             base=self.RoadAgent,
             methods={"step_velocity": light_velocity, "step_move": light_move},
         )
         self.Sensor = TypeDescriptor(
-            f"Sensor#{id(wl):x}",
+            f"Sensor#{tag}",
             fields=[("count", "u32")],
             base=self.RoadAgent,
             methods={"step_velocity": sensor_velocity, "step_move": sensor_move},
@@ -182,7 +184,6 @@ class Traffic(Workload):
         m.register(self.Car, self.Truck, self.TrafficLight, self.Sensor)
 
         self.occupancy = m.array("u32", self.length)
-        self.occupancy.write(np.zeros(self.length, dtype=np.uint32))
         self.signals = m.array("u32", self.length)
         self.signals.write(np.zeros(self.length, dtype=np.uint32))
 
@@ -197,62 +198,49 @@ class Traffic(Workload):
         sensor_pos = cells[n_cars + n_trucks + n_lights:]
 
         # allocation interleaves types, as real construction code does
-        ptrs = []
         kinds = (["car"] * n_cars + ["truck"] * n_trucks
                  + ["light"] * n_lights + ["sensor"] * n_sensors)
         rng.shuffle(kinds)
-        it_car = iter(car_pos)
-        it_truck = iter(truck_pos)
-        it_light = iter(light_pos)
-        it_sensor = iter(sensor_pos)
-        occ = self.occupancy
-        for kind in kinds:
-            if kind == "car":
-                p = m.new_objects(self.Car, 1)[0]
-                self._init_vehicle(p, next(it_car), rng)
-                occ[int(self._field_addr_index(p))] = 1
-            elif kind == "truck":
-                p = m.new_objects(self.Truck, 1)[0]
-                self._init_vehicle(p, next(it_truck), rng)
-                occ[int(self._field_addr_index(p))] = 1
-            elif kind == "light":
-                p = m.new_objects(self.TrafficLight, 1)[0]
-                lay = m.registry.layout(self.TrafficLight)
-                m.write_field(p, lay, "pos", int(next(it_light)))
-                m.write_field(p, lay, "period", int(8 + rng.integers(8)))
-                m.write_field(p, lay, "phase", 0)
-            else:
-                p = m.new_objects(self.Sensor, 1)[0]
-                m.write_field(p, self.Sensor, "pos", int(next(it_sensor)))
-            ptrs.append(p)
+        types = {"car": self.Car, "truck": self.Truck,
+                 "light": self.TrafficLight, "sensor": self.Sensor}
+        ptrs = m.new_objects([types[k] for k in kinds])
+        # the random draws keep their per-object order: a vehicle draws
+        # its velocity then its LCG seed, a light its period
+        vel, seed, period = [], [], []
+        for k in kinds:
+            if k == "light":
+                period.append(8 + rng.integers(8))
+            elif k != "sensor":
+                vel.append(rng.integers(1, 3))
+                seed.append(rng.integers(1, 2**32 - 1))
+
+        # the i-th object of a kind takes that kind's i-th starting cell
+        kind = np.array(kinds)
+        car, truck = kind == "car", kind == "truck"
+        light, sensor = kind == "light", kind == "sensor"
+        vehicle = car | truck
+        pos = np.empty(len(kinds), dtype=np.uint32)
+        pos[car], pos[truck] = car_pos, truck_pos
+        pos[light], pos[sensor] = light_pos, sensor_pos
+        m.write_field(ptrs, self.RoadAgent, "pos", pos)
+        m.write_field(ptrs[vehicle], self.Vehicle, "vel", vel)
+        m.write_field(ptrs[vehicle], self.Vehicle, "rand_state", seed)
+        m.write_field(ptrs[light], self.TrafficLight, "period", period)
+        m.write_field(ptrs[light], self.TrafficLight, "phase", 0)
+        occupied = np.zeros(self.length, dtype=np.uint32)
+        occupied[pos[vehicle]] = 1
+        self.occupancy.write(occupied)
 
         # DynaSOAr-style do-all enumeration: the processing array groups
         # objects by type (each group in allocation order), even though
         # construction interleaved the types on the heap.  Thread i of a
         # group therefore touches the i-th *allocated* object of that
         # type -- contiguous under SharedOA, scattered under CUDA.
-        by_kind = {"car": [], "truck": [], "light": [], "sensor": []}
-        for p, k in zip(ptrs, kinds):
-            by_kind[k].append(p)
-        ordered = (by_kind["car"] + by_kind["truck"]
-                   + by_kind["light"] + by_kind["sensor"])
-        self.agent_ptrs = np.array(ordered, dtype=np.uint64)
+        self.agent_ptrs = np.concatenate(
+            (ptrs[car], ptrs[truck], ptrs[light], ptrs[sensor]))
         self.agents = m.array_from(self.agent_ptrs, "u64")
-        self.num_agents = len(ordered)
-        self._vehicle_ptrs = np.array(
-            by_kind["car"] + by_kind["truck"], dtype=np.uint64
-        )
-
-    # ------------------------------------------------------------------
-    def _init_vehicle(self, ptr, pos, rng) -> None:
-        m = self.machine
-        lay = m.registry.layout(self.Vehicle)
-        m.write_field(ptr, lay, "pos", int(pos))
-        m.write_field(ptr, lay, "vel", int(rng.integers(1, 3)))
-        m.write_field(ptr, lay, "rand_state", int(rng.integers(1, 2**32 - 1)))
-
-    def _field_addr_index(self, ptr) -> int:
-        return int(self.machine.read_field(ptr, self.Vehicle, "pos"))
+        self.num_agents = len(self.agent_ptrs)
+        self._vehicle_ptrs = np.concatenate((ptrs[car], ptrs[truck]))
 
     # ------------------------------------------------------------------
     def iterate(self) -> None:

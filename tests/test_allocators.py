@@ -1,12 +1,19 @@
-"""Tests for the CUDA-like allocator and the TypePointer wrapper."""
+"""Tests for the CUDA-like allocator, the TypePointer wrapper and the
+batched ``alloc_many`` path of every allocator."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import DoubleFree, TypeTagOverflow
+from repro import Machine, TypeDescriptor
+from repro.errors import AllocatorError, DoubleFree, TypeTagOverflow
+from repro.gpu.config import small_config
 from repro.memory.address_space import MAX_TAG, decode_tag, strip_tag
 from repro.memory.cuda_allocator import HEADER_PAD, CudaHeapAllocator
 from repro.memory.heap import Heap
+from repro.memory.shared_oa import SharedOAAllocator
+from repro.memory.soa_allocator import SoaAllocator
 from repro.memory.typepointer_alloc import TypePointerAllocator
 
 
@@ -240,3 +247,161 @@ class TestTypePointerAllocator:
         alloc.alloc_object("A", 32)
         assert len(alloc.ranges()) == 1
         assert alloc.range_table_version == inner.range_table_version
+
+
+# ----------------------------------------------------------------------
+# alloc_many: the batched path equals the per-object sequence
+# ----------------------------------------------------------------------
+TAGS = {"T0": 64, "T1": 72, "T2": 80, "T3": 88, "BAD": MAX_TAG + 1}
+
+
+def _tp(inner):
+    return TypePointerAllocator(inner, TAGS.__getitem__)
+
+
+BATCH_ALLOCATORS = {
+    "cuda": CudaHeapAllocator,
+    "sharedoa": lambda heap: SharedOAAllocator(heap, initial_chunk_objects=4),
+    "sharedoa-nomerge": lambda heap: SharedOAAllocator(
+        heap, initial_chunk_objects=4, merge_adjacent=False),
+    "soa": SoaAllocator,
+    "tp-sharedoa": lambda heap: _tp(
+        SharedOAAllocator(heap, initial_chunk_objects=4)),
+    "tp-cuda": lambda heap: _tp(CudaHeapAllocator(heap)),
+}
+
+
+def _allocator_state(alloc) -> dict:
+    heap = alloc.heap
+    inner = getattr(alloc, "inner", alloc)
+    state = {
+        "brk": heap.brk,
+        "heap": heap.read_array(heap.null_guard, "u8",
+                                heap.brk - heap.null_guard).tobytes(),
+        "live": alloc.live_objects(),
+        "stats": dataclasses.asdict(alloc.stats),
+    }
+    if isinstance(inner, SharedOAAllocator):
+        state["ranges"] = inner.ranges()
+        state["version"] = inner.range_table_version
+        state["slots"] = [(r.base, r.used, list(r.free_slots))
+                          for r in inner._all_regions]
+    elif isinstance(inner, SoaAllocator):
+        state["bitmaps"] = [(b.base, b.type_key, b.occupied)
+                            for b in inner._blocks]
+        state["avail"] = {t: [b.base for b in blocks]
+                          for t, blocks in inner._avail.items()}
+    else:
+        state["free_lists"] = {c: list(f)
+                               for c, f in inner._free_lists.items()}
+        state["cursors"] = (inner._next_arena, list(inner._arena_cursor))
+    return state
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("alloc"),
+                  st.lists(st.integers(0, 3), min_size=1, max_size=40)),
+        st.tuples(st.sampled_from(["free", "free_many"]),
+                  st.randoms(use_true_random=False)),
+    ),
+    max_size=6,
+)
+
+
+def _free(op, rnd, live, batched, serial) -> None:
+    """Free one or a random subset of the live pointers on both sides."""
+    if not live:
+        return
+    if op == "free":
+        victims = [live.pop(rnd.randrange(len(live)))]
+    else:
+        rnd.shuffle(live)
+        k = rnd.randint(1, len(live))
+        victims, live[:] = live[:k], live[k:]
+    batched(np.array(victims, dtype=np.uint64))
+    for p in victims:
+        serial(p)
+
+
+class TestAllocMany:
+    @given(kind=st.sampled_from(sorted(BATCH_ALLOCATORS)),
+           sizes=st.lists(st.integers(9, 80), min_size=4, max_size=4),
+           first=st.lists(st.integers(0, 3), min_size=1, max_size=40),
+           ops=_OPS, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_batches_equal_alloc_object_sequence(self, kind, sizes, first,
+                                                 ops, data):
+        batched = BATCH_ALLOCATORS[kind](Heap(capacity=1 << 16))
+        serial = BATCH_ALLOCATORS[kind](Heap(capacity=1 << 16))
+        live = []
+        for op, arg in [("alloc", first)] + ops:
+            if op == "alloc":
+                # stale bytes everywhere: zeroing must clear exactly the
+                # new objects' bytes, as the per-object path does
+                for heap in (batched.heap, serial.heap):
+                    heap.fill(heap.null_guard, heap.brk - heap.null_guard,
+                              0xA5)
+                got = batched.alloc_many([f"T{i}" for i in arg],
+                                         [sizes[i] for i in arg])
+                want = [serial.alloc_object(f"T{i}", sizes[i]) for i in arg]
+                assert got.dtype == np.uint64
+                assert got.tolist() == want
+                live.extend(want)
+            else:
+                _free(op, arg, live, batched.free_objects_many,
+                      serial.free_object)
+            assert _allocator_state(batched) == _allocator_state(serial)
+
+        # a batch with one bad entry raises and touches nothing
+        t = first[0]                  # a type allocated in every run
+        bad = [(f"T{t}", 0)]                               # size <= 0
+        if kind not in ("cuda", "tp-cuda"):
+            bad.append((f"T{t}", sizes[t] + 8))            # stride conflict
+        if kind == "soa":
+            bad.append(("T9", 8))                          # below header
+        if kind.startswith("tp"):
+            bad.append(("BAD", 16))                        # tag overflow
+        batch = [(f"T{i}", sizes[i]) for i in first]
+        batch.insert(data.draw(st.integers(0, len(batch))),
+                     data.draw(st.sampled_from(bad)))
+        before = _allocator_state(batched)
+        with pytest.raises((ValueError, AllocatorError, TypeTagOverflow)):
+            batched.alloc_many([k for k, _ in batch], [s for _, s in batch])
+        assert _allocator_state(batched) == before
+
+    @given(first=st.lists(st.integers(0, 3), min_size=1, max_size=40),
+           ops=_OPS)
+    @settings(max_examples=15, deadline=None)
+    def test_typepointer_indexed_machine_keeps_scalar_order(self, first,
+                                                            ops):
+        """Through a Machine: ``new_objects`` over a type sequence equals
+        the per-object ``alloc_object`` + ``on_construct`` sequence,
+        including where the lazily reserved index-encoded vTable region
+        lands between the first batch's objects."""
+        types = [TypeDescriptor(f"Idx{i}",
+                                [(f"f{j}", "u32") for j in range(i + 1)],
+                                methods={"m": lambda ctx, objs: None})
+                 for i in range(4)]
+        machines = [Machine("typepointer_indexed", config=small_config())
+                    for _ in range(2)]
+        for m in machines:
+            m.register(*types)
+        batched, serial = machines
+        live = []
+        for op, arg in [("alloc", first)] + ops:
+            if op == "alloc":
+                got = batched.new_objects([types[i] for i in arg])
+                want = []
+                for i in arg:
+                    size = serial.registry.layout(types[i]).size
+                    p = serial.allocator.alloc_object(types[i], size)
+                    serial.strategy.on_construct(strip_tag(p), types[i])
+                    want.append(p)
+                assert got.tolist() == want
+                live.extend(want)
+            else:
+                _free(op, arg, live, batched.free_objects,
+                      serial.allocator.free_object)
+            assert (_allocator_state(batched.allocator)
+                    == _allocator_state(serial.allocator))

@@ -123,6 +123,26 @@ def test_fill(heap):
     assert heap.load(base + 32, "u8") == 0
 
 
+def test_zero_ranges_clears_exactly_the_ranges(heap):
+    base = heap.sbrk(256)
+    heap.fill(base, 256, 0xFF)
+    # unsorted, with two abutting ranges that merge into one run
+    heap.zero_ranges([base + 100, base + 8, base + 16], [20, 8, 4])
+    got = heap.read_array(base, "u8", 256)
+    want = np.full(256, 0xFF, dtype=np.uint8)
+    for lo, n in ((100, 20), (8, 8), (16, 4)):
+        want[lo:lo + n] = 0
+    np.testing.assert_array_equal(got, want)
+
+
+def test_zero_ranges_checks_every_range_first(heap):
+    base = heap.sbrk(64)
+    heap.fill(base, 64, 0xFF)
+    with pytest.raises(InvalidAddress):
+        heap.zero_ranges([base, heap.brk - 4], [8, 8])
+    assert (heap.read_array(base, "u8", 64) == 0xFF).all()
+
+
 def test_sbrk_regions_zeroed(heap):
     a = heap.sbrk(256)
     assert heap.load(a + 128, "u64") == 0

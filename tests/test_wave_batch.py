@@ -94,8 +94,8 @@ FIG6_SCALE = 0.02
 PER_WARP = {
     "TRAF": {"move_kernel"},        # warps claim shared occupancy cells
     "STUT": {"spring_kernel"},      # f32 atomicAdds from four sites
-    "BFS-vE": {"kernel"},           # atomicMin into the level it reads
-    "CC-vE": {"kernel"},            # atomicMin into the label it reads
+    "BFS-vE": {"edge_kernel"},      # atomicMin into the level it reads
+    "CC-vE": {"edge_kernel"},       # atomicMin into the label it reads
 }
 
 

@@ -166,3 +166,11 @@ class TestGraphConstruction:
         assert (
             s_ven.run_stats.vfunc_pki > s_ve.run_stats.vfunc_pki
         ), "vEN should perform more virtual calls per instruction"
+
+
+def test_ven_launches_are_labelled_by_kernel():
+    """The edge and vertex launches of a vEN workload carry distinct
+    names in the launch history (and so in ``repro profile``)."""
+    wl = _make("BFS-vEN", scale=0.02, iterations=2)
+    names = [name for name, _ in wl.machine.launch_history]
+    assert names == ["edge_kernel", "vertex_kernel"] * 2

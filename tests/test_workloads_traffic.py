@@ -89,3 +89,21 @@ def test_checksum_changes_over_time(traf):
     traf.iterate()
     b = traf.checksum()
     assert a != b
+
+
+def test_type_names_are_deterministic():
+    """TRAF names its types with ``mint_tag``, like every other
+    workload: the same construction order gives the same names in any
+    process, and no name carries an object's ``id()``."""
+    from repro.runtime.naming import reset_naming
+
+    names = []
+    for _ in range(2):
+        reset_naming()
+        wl = make_workload("TRAF", Machine("cuda", config=small_config()),
+                           scale=0.02, seed=9)
+        wl.setup()
+        names.append([t.name for t in wl.machine.registry.all_types()])
+    assert names[0] == names[1]
+    assert len(names[0]) == 6
+    assert all(name.endswith("#traf0") for name in names[0])
