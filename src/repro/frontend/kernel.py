@@ -28,13 +28,10 @@ each charge counts once per warp that has active lanes.  The
 declaration is a promise the simulator cannot check:
 
 * no warp reads or writes memory another warp of the launch writes.
-  Atomics are the exception, but only while nothing reads their
-  result during the launch *and* the order they land in cannot show:
-  the op is order-insensitive (integer add/min/max), or each address
-  is updated from a single atomic site.  A batch runs each site over
-  the whole wave before the next site, so two float atomicAdd sites
-  meeting at one address (STUT's ``spring_kernel``) sum in another
-  order;
+  Atomics are the exception: nothing reads an atomic's target during
+  the launch, or writes it other than by atomics.  A batch logs its
+  atomics and lands them at wave end, sorted by warp, so they apply
+  in the per-warp run's order (float sums included);
 * every charged operation under data-dependent Python control flow
   runs on a subcontext holding exactly the lanes that take it
   (``ctx.subcontext``, ``ctx.branch``, ``ctx.vcall``).

@@ -97,9 +97,9 @@ class GPUConfig:
 
     # ------------------------------------------------------------------
     # replay engine (stage two of the capture -> replay pipeline).
-    # "reference", "vector" and "fused" are cross-validated
-    # bit-identical (tests/test_replay_engines.py); the env var
-    # REPRO_REPLAY_ENGINE overrides this per process.  See
+    # "reference" (the specification) and "vector" (the fast engine)
+    # are cross-validated bit-identical (tests/test_replay_engines.py);
+    # the env var REPRO_REPLAY_ENGINE overrides this per process.  See
     # repro.gpu.replay.
     # ------------------------------------------------------------------
     replay_engine: str = "vector"

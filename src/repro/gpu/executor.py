@@ -13,7 +13,9 @@ target once per warp (SIMT serialization across types).
 A kernel runs once per warp, or -- when it declares
 ``independent_warps`` -- once per wave, as one lane batch whose lanes
 each carry their warp: every charge then counts once per warp with
-active lanes, so the counters equal those of the per-warp run.
+active lanes, so the counters equal those of the per-warp run.  A
+batch's atomics are logged and land at wave end in warp order, so
+their memory effect equals the per-warp run's too.
 """
 from __future__ import annotations
 
@@ -78,9 +80,14 @@ class ExecutionContext:
     other warps resident on the same wave -- real warps do not run to
     completion atomically, and the inter-warp interference is exactly
     what makes the diverged vTable-pointer load expensive (section 1).
+
+    ``atomics`` is the launch's atomic log for a lane batch (see
+    :meth:`atomic`), shared by its subcontexts; None applies atomics at
+    once.
     """
 
-    __slots__ = ("machine", "tid", "warp", "warps", "stats", "trace")
+    __slots__ = ("machine", "tid", "warp", "warps", "stats", "trace",
+                 "atomics")
 
     def __init__(
         self,
@@ -90,6 +97,7 @@ class ExecutionContext:
         stats: KernelStats,
         trace: MemoryTrace,
         warps: int = 1,
+        atomics: Optional[list] = None,
     ):
         self.machine = machine
         self.tid = tid
@@ -97,6 +105,7 @@ class ExecutionContext:
         self.warps = warps
         self.stats = stats
         self.trace = trace
+        self.atomics = atomics
 
     # ------------------------------------------------------------------
     @property
@@ -119,7 +128,7 @@ class ExecutionContext:
             warp = warp[lane_sel]
             warps = int(np.count_nonzero(np.diff(warp, prepend=-1)))
         return ExecutionContext(self.machine, self.tid[lane_sel], warp,
-                                self.stats, self.trace, warps)
+                                self.stats, self.trace, warps, self.atomics)
 
     def _warp_sms(self) -> list:
         """The SM of each warp with active lanes, in warp order."""
@@ -190,14 +199,27 @@ class ExecutionContext:
         hardware's serialised atomic units guarantee (``Heap.accumulate``
         does it in one ordered vectorized update).  Charged as one
         memory instruction with store-like traffic.
+
+        A lane batch range-checks its lanes here but only logs the
+        update; ``launch`` lands the log at wave end in warp order
+        (:func:`_land_atomics`), the order a per-warp run applies it in.
         """
         if op not in ("add", "min", "max"):
             raise ValueError(f"unsupported atomic op {op!r}")
         a = np.asarray(addrs, dtype=np.uint64)
         canonical = self.machine.mmu.translate(a)
-        w = SCALAR_TYPES[dtype][1]
+        np_dtype, w = SCALAR_TYPES[dtype]
         self._charge_transactions(canonical, w, store=True, role=role)
-        self.heap.accumulate(canonical, dtype, values, op)
+        if self.atomics is None:
+            self.heap.accumulate(canonical, dtype, values, op)
+            return
+        if not len(canonical):
+            return
+        a = canonical.astype(np.int64)     # a copy the log owns
+        self.heap.check_lanes(a, w, "atomic")
+        vals = np.array(np.broadcast_to(np.asarray(values, dtype=np_dtype),
+                                        a.shape))
+        self.atomics.append((a, vals, dtype, op, self.warp))
 
     def atomic_field(self, objptrs: np.ndarray, type_desc: TypeDescriptor,
                      field: str, values, op: str = "add",
@@ -346,6 +368,37 @@ class ExecutionContext:
         return result
 
 
+def _land_atomics(heap, log: list) -> None:
+    """Apply a lane batch's logged atomics in per-warp order.
+
+    Each entry holds one call's lanes in warp order, and the log holds
+    the calls in call order.  A stable sort by warp therefore lists
+    every warp's lanes in its own call and lane order, warp after warp
+    -- exactly the order a per-warp run applies them in.  Each run of
+    lanes with equal ``(dtype, op)`` in that order is one
+    ``Heap.accumulate``.
+    """
+    order = np.argsort(np.concatenate([e[4] for e in log]), kind="stable")
+    addrs = np.concatenate([e[0] for e in log])[order]
+    kinds = list(dict.fromkeys((e[2], e[3]) for e in log))
+    # each kind's values in log order, and every lane's kind and index
+    # into its kind's values
+    kind = np.repeat([kinds.index((e[2], e[3])) for e in log],
+                     [len(e[0]) for e in log])
+    vals = [np.concatenate([e[1] for e in log if (e[2], e[3]) == k])
+            for k in kinds]
+    local = np.empty_like(kind)
+    for i in range(len(kinds)):
+        sel = kind == i
+        local[sel] = np.arange(np.count_nonzero(sel))
+    kind, local = kind[order], local[order]
+    cuts = (np.flatnonzero(np.diff(kind)) + 1).tolist()
+    for a, b in zip([0] + cuts, cuts + [len(kind)]):
+        k = int(kind[a])
+        dtype, op = kinds[k]
+        heap.accumulate(addrs[a:b], dtype, vals[k][local[a:b]], op)
+
+
 def launch(machine: "Machine", kernel, num_threads: int,
            independent_warps: bool = False) -> KernelStats:
     """Run ``kernel`` over ``num_threads`` threads, wave by wave.
@@ -361,8 +414,9 @@ def launch(machine: "Machine", kernel, num_threads: int,
 
     By default the kernel runs once per warp, warp after warp, so each
     warp sees every earlier warp's stores.  ``independent_warps`` runs
-    it once per wave as one lane batch instead; that is exact only for
-    kernels keeping the contract ``repro.frontend.kernel`` documents.
+    it once per wave as one lane batch instead, and lands the batch's
+    atomics at wave end; that is exact only for kernels keeping the
+    contract ``repro.frontend.kernel`` documents.
     """
     num_threads = validate_num_threads(num_threads)
     reg = obs.registry()
@@ -393,10 +447,13 @@ def launch(machine: "Machine", kernel, num_threads: int,
                 lo = wave_start * WARP_SIZE
                 tid = np.arange(lo, min(wave_end * WARP_SIZE, num_threads),
                                 dtype=np.int64)
+                log = []
                 kernel(ExecutionContext(
                     machine, tid, (tid - lo) // WARP_SIZE, stats, trace,
-                    warps=wave_end - wave_start,
+                    warps=wave_end - wave_start, atomics=log,
                 ))
+                if log:
+                    _land_atomics(machine.heap, log)
             else:
                 for warp_id in range(wave_start, wave_end):
                     lo = warp_id * WARP_SIZE

@@ -149,7 +149,8 @@ class Machine:
                 self.arena.ensure_type(member)
             self._registered.add(t)
 
-    def new_objects(self, types, count: Optional[int] = None) -> np.ndarray:
+    def new_objects(self, types, count: Optional[int] = None, *,
+                    replacing: Optional[np.ndarray] = None) -> np.ndarray:
         """Allocate and construct objects; returns their pointers.
 
         ``new_objects(T, count)`` builds ``count`` objects of type
@@ -160,6 +161,10 @@ class Machine:
         batch with one ``Allocator.alloc_many`` -- exactly the pointers
         and heap bytes a loop of single allocations gives -- and writes
         headers once per distinct type.
+
+        ``replacing`` holds one live object pointer per new object: each
+        is destroyed just before its replacement is placed, as a loop of
+        free/allocate pairs would (GOL/GEN's retyping).
 
         Pointers are tagged under TypePointer techniques.  Construction
         (header writes) is host-side, matching the paper's methodology
@@ -178,7 +183,8 @@ class Machine:
         self.register(*distinct)
         size = {t: self.registry.layout(t).size for t in distinct}
         ptrs = self.allocator.alloc_many(type_keys,
-                                         [size[t] for t in type_keys])
+                                         [size[t] for t in type_keys],
+                                         replacing=replacing)
         # strip_tag_array is every allocator's _canonical, vectorised:
         # identity when pointers carry no tag
         canon = strip_tag_array(ptrs)

@@ -2,9 +2,9 @@
 
 A :class:`ReplayEngine` consumes one wave of :class:`MemoryTrace`
 records (see :mod:`repro.gpu.trace`) and charges their cache/DRAM
-effects into a :class:`KernelStats`.  Three implementations are kept
+effects into a :class:`KernelStats`.  Two implementations are kept
 and cross-validated against each other (``tests/test_replay_engines.py``
-asserts bit-identical counters):
+asserts bit-identical counters and cache state):
 
 ``ReferenceEngine``
     the historical semantics, verbatim: the dict-based
@@ -17,31 +17,14 @@ asserts bit-identical counters):
     up front (``trace.flatten_wave``): interleave scheduling, set/tag
     decomposition, sector popcounts and per-role attribution are all
     batched numpy work, and DRAM row-buffer accounting is vectorized
-    per bank after the fact.  Only the inherently order-dependent cache
-    state transitions remain sequential, and those run as a tight loop
-    over packed integers -- each line is one dict entry holding
-    ``(lru_stamp << 4) | sector_mask``, so probe/refresh/evict are a
-    couple of int ops.  LRU stamps are unique per set (the clock ticks
-    every access), which makes packed-value ordering identical to LRU
-    ordering and eviction bit-compatible with the reference.
-
-``FusedEngine``
-    the fastest engine.  The whole coalesce -> L1 -> L2 -> DRAM walk
-    runs as a single vectorized pass per cache level: the transaction
-    stream is sorted by (set, tag), tag-runs are compressed to one
-    representative each, and the survivors are scheduled into dense
-    *rounds* of set-distinct accesses so the packed-integer cache
-    transition becomes a handful of 2-d numpy gathers/scatters per
-    round instead of a python loop per transaction (section 5.10 of
-    DESIGN.md).  Everything state-independent about a wave -- flatten
-    output, sort permutations, run structure, the round schedule --
-    is stitched once per trace-shape signature and memoized in a
-    digest-keyed *plan cache*, so repeated waves (fixpoint loops in
-    the graph workloads repeat 60-75% of their traffic verbatim) pay
-    only the state-dependent work.  Equivalence with the clock-stamp
-    engines rests on LRU stamps only ever being *compared within one
-    set of one level*: any stamping that is monotone in service order
-    per set (here: flat wave positions) makes identical decisions.
+    per bank after the fact.  Only the order-dependent cache state
+    transitions remain sequential: one tight loop over the wave's
+    transactions, in which every set is a dict ``tag -> sector mask``
+    kept in LRU order (least recently used first).  The reference
+    stamps each line with a clock that rises on every access to its
+    cache and evicts the set's minimum stamp; re-inserting a line on
+    each stamp update keeps a set's dict order equal to its stamp
+    order, so evicting the first key evicts the same line.
 
 Engine choice comes from ``GPUConfig.replay_engine`` and can be forced
 globally with the ``REPRO_REPLAY_ENGINE`` environment variable.
@@ -51,13 +34,12 @@ did-you-mean hints, same UX as unknown techniques.
 from __future__ import annotations
 
 import difflib
-import hashlib
 import os
 from typing import List, Protocol
 
 import numpy as np
 
-from ..errors import LaunchError, UnknownEngineError
+from ..errors import UnknownEngineError
 from .cache import MemoryHierarchy
 from .config import GPUConfig
 from .dram import account_rows
@@ -65,7 +47,7 @@ from .stats import KernelStats
 from .trace import MemoryTrace, POPCOUNT4, flatten_wave, role_name
 
 #: engine names accepted by GPUConfig.replay_engine / REPRO_REPLAY_ENGINE
-ENGINES = ("reference", "vector", "fused")
+ENGINES = ("reference", "vector")
 
 #: environment override checked at machine construction
 ENGINE_ENV_VAR = "REPRO_REPLAY_ENGINE"
@@ -106,8 +88,6 @@ def make_engine(name: str, config: GPUConfig,
         return ReferenceEngine(hierarchy)
     if name == "vector":
         return VectorEngine(config)
-    if name == "fused":
-        return FusedEngine(config)
     raise _unknown_engine(name)
 
 
@@ -162,11 +142,8 @@ class ReferenceEngine:
 # ----------------------------------------------------------------------
 # vector engine
 # ----------------------------------------------------------------------
-_POP = POPCOUNT4.tolist()
-
-
 class VectorEngine:
-    """Array-flattened replay with packed-integer cache cores."""
+    """Array-flattened replay over dict-ordered LRU sets."""
 
     name = "vector"
 
@@ -180,14 +157,11 @@ class VectorEngine:
         self._l2_line_bytes = g2.line_bytes
         self._l2_nsets = g2.num_sets
         self._l2_assoc = g2.assoc
-        # per-SM L1s: one dict per set, tag -> (lru << 4) | sector_mask
-        self._l1 = [
-            [dict() for _ in range(self._l1_nsets)]
-            for _ in range(self.num_sms)
-        ]
-        self._l1_clock = [0] * self.num_sms
+        #: the L1 sets of every SM, SM-major (SM ``s``'s set ``k`` is
+        #: ``_l1[s * num_sets + k]``), then the L2 sets; each a dict
+        #: ``tag -> sector mask`` in LRU order, least recent first
+        self._l1 = [dict() for _ in range(self.num_sms * self._l1_nsets)]
         self._l2 = [dict() for _ in range(self._l2_nsets)]
-        self._l2_clock = 0
         # DRAM row-buffer state (per bank), as the hierarchy keeps it
         self._row_bytes = config.dram_row_bytes
         self._num_banks = config.dram_num_banks
@@ -205,90 +179,60 @@ class VectorEngine:
 
         # batched set/tag decomposition for both levels
         l1_line_no = (line // np.uint64(self._l1_line_bytes)).astype(np.int64)
-        l1_set = l1_line_no % self._l1_nsets
+        l1_key = ((sm % self.num_sms) * self._l1_nsets
+                  + l1_line_no % self._l1_nsets)
         l1_tag = l1_line_no // self._l1_nsets
         l2_line_no = (line // np.uint64(self._l2_line_bytes)).astype(np.int64)
         l2_set = l2_line_no % self._l2_nsets
         l2_tag = l2_line_no // self._l2_nsets
 
-        # python-int views for the sequential core
-        mask_l = mask.tolist()
-        nsec_l = nsec.tolist()
-        sm_l = sm.tolist()
-        store_l = store.tolist()
-        l1_set_l = l1_set.tolist()
-        l1_tag_l = l1_tag.tolist()
-        l2_set_l = l2_set.tolist()
-        l2_tag_l = l2_tag.tolist()
-
-        l1h = [0] * n
-        l2h = [0] * n
-        drm = [0] * n
-        # lines whose sectors reached DRAM, in service order (loads and
-        # stores interleaved exactly as the reference visits them)
+        # the sequential core records only each transaction's L1 and
+        # L2 miss masks (0 when it never reached that miss) and which
+        # transactions reached DRAM, in service order -- loads and
+        # stores interleaved exactly as the reference visits them
+        miss1 = [0] * n
+        miss2 = [0] * n
         row_lines: List[int] = []
-
-        l1_banks = self._l1
-        l1_clocks = self._l1_clock
+        l1_sets = self._l1
         l2_sets = self._l2
-        l2_clock = self._l2_clock
         l1_assoc = self._l1_assoc
         l2_assoc = self._l2_assoc
-        num_sms = self.num_sms
-        pop = _POP
-
-        for i in range(n):
-            m = mask_l[i]
-            l2_req = m
-            if store_l[i]:
-                # write-through L1: refresh sectors if present, no clock
-                d1 = l1_banks[sm_l[i] % num_sms][l1_set_l[i]]
-                t1 = l1_tag_l[i]
-                v1 = d1.get(t1)
-                if v1 is not None:
-                    d1[t1] = v1 | m
+        for i, m, st, k1, t1, k2, t2 in zip(
+                range(n), mask.tolist(), store.tolist(), l1_key.tolist(),
+                l1_tag.tolist(), l2_set.tolist(), l2_tag.tolist()):
+            d = l1_sets[k1]
+            if st:
+                # write-through L1: a hit takes the sectors in place
+                # (no recency update), a miss does not allocate
+                v = d.get(t1)
+                if v is not None:
+                    d[t1] = v | m
             else:
-                # L1 load access (allocate)
-                d1 = l1_banks[sm_l[i] % num_sms][l1_set_l[i]]
-                t1 = l1_tag_l[i]
-                smi = sm_l[i] % num_sms
-                clk = l1_clocks[smi] + 1
-                l1_clocks[smi] = clk
-                v1 = d1.get(t1)
-                if v1 is not None:
-                    cm = v1 & 15
-                    miss = m & ~cm
-                    d1[t1] = (clk << 4) | cm | m
+                v = d.pop(t1, None)
+                if v is None:
+                    if len(d) >= l1_assoc:
+                        del d[next(iter(d))]
+                    d[t1] = m
                 else:
-                    miss = m
-                    if len(d1) >= l1_assoc:
-                        del d1[min(d1, key=d1.__getitem__)]
-                    d1[t1] = (clk << 4) | m
-                l1h[i] = pop[m] - pop[miss]
-                if not miss:
-                    continue
-                l2_req = miss
-            # L2 access (allocate) -- l1 misses of loads, all stores
-            d2 = l2_sets[l2_set_l[i]]
-            t2 = l2_tag_l[i]
-            l2_clock += 1
-            v2 = d2.get(t2)
-            if v2 is not None:
-                cm = v2 & 15
-                miss2 = l2_req & ~cm
-                d2[t2] = (l2_clock << 4) | cm | l2_req
+                    d[t1] = v | m
+                    m &= ~v
+                    if not m:
+                        continue
+                miss1[i] = m
+            # L2 (allocate) -- l1 misses of loads, all stores
+            d = l2_sets[k2]
+            v = d.pop(t2, None)
+            if v is None:
+                if len(d) >= l2_assoc:
+                    del d[next(iter(d))]
+                d[t2] = m
             else:
-                miss2 = l2_req
-                if len(d2) >= l2_assoc:
-                    del d2[min(d2, key=d2.__getitem__)]
-                d2[t2] = (l2_clock << 4) | l2_req
-            if not store_l[i]:
-                l2h[i] = pop[l2_req] - pop[miss2]
-                drm[i] = pop[miss2]
-            if miss2:
-                row_lines.append(i)
-
-        self._l2_clock = l2_clock
+                d[t2] = v | m
+                m &= ~v
+                if not m:
+                    continue
+            miss2[i] = m
+            row_lines.append(i)
 
         # ------------------------------------------------------------------
         # vectorized DRAM row-buffer accounting over the miss stream
@@ -302,678 +246,34 @@ class VectorEngine:
             self.dram_row_hits += hits
 
         # ------------------------------------------------------------------
-        # bulk counter accumulation
+        # bulk counter accumulation (loads only, like the reference)
         # ------------------------------------------------------------------
         is_load = ~store
-        l1h_a = np.asarray(l1h, dtype=np.int64)
-        l2h_a = np.asarray(l2h, dtype=np.int64)
-        drm_a = np.asarray(drm, dtype=np.int64)
-        l1_acc = int(nsec[is_load].sum())
-        l1_hits = int(l1h_a.sum())
-        stats.l1_accesses += l1_acc
-        stats.l1_hits += l1_hits
-        stats.l2_accesses += l1_acc - l1_hits
-        stats.l2_hits += int(l2h_a.sum())
-        stats.dram_accesses += int(drm_a.sum())
-
-        # per-role L1/L2/DRAM attribution (loads only, like the reference)
         load_roles = role[is_load]
-        if len(load_roles):
-            minlength = int(load_roles.max()) + 1
-            by_l1 = np.bincount(load_roles, weights=l1h_a[is_load],
-                                minlength=minlength)
-            by_l2 = np.bincount(load_roles, weights=l2h_a[is_load],
-                                minlength=minlength)
-            by_dr = np.bincount(load_roles, weights=drm_a[is_load],
-                                minlength=minlength)
-            present = np.bincount(load_roles, minlength=minlength)
-            for rid in np.flatnonzero(present).tolist():
-                if rid == 0:
-                    continue  # role None is never attributed
-                stats.add_role_levels(
-                    role_name(rid), int(by_l1[rid]), int(by_l2[rid]),
-                    int(by_dr[rid]),
-                )
-
-
-# ----------------------------------------------------------------------
-# fused engine
-# ----------------------------------------------------------------------
-
-#: stop emitting dense rounds once fewer sets than this stay alive; the
-#: remaining transactions run through a dict-based tail (python loop),
-#: which beats numpy fixed costs at small widths.
-ROUND_CUTOFF = 24
-
-#: run-compress a stream only when representatives are at most this
-#: fraction of it; near-duplicate-free streams skip the reduceat work.
-COMPRESS_THRESHOLD = 0.85
-
-#: spread the 4 sector-mask bits of a transaction into 16-bit lanes of
-#: one int64, so a cumulative sum computes four saturating prefix
-#: counts at once (each lane counts earlier transactions touching that
-#: sector; runs are shorter than 2**15 so lanes cannot overflow).
-_SPREAD16 = np.array(
-    [sum(((m >> b) & 1) << (16 * b) for b in range(4)) for m in range(16)],
-    dtype=np.int64)
-#: adding this to a lane-packed count raises lane bit 15 iff lane > 0.
-_SAT = np.int64(0x7FFF * (1 + (1 << 16) + (1 << 32) + (1 << 48)))
-
-
-def _shift_of(x: int):
-    """log2(x) when x is a power of two, else None (division fallback)."""
-    return x.bit_length() - 1 if x > 0 and (x & (x - 1)) == 0 else None
-
-
-class _PlanCache:
-    """Insertion-ordered plan cache bounded by estimated byte cost.
-
-    Plans hold O(wave) arrays, so a count cap alone could pin gigabytes
-    on large waves; eviction is FIFO (oldest wave shape first), which
-    matches how fixpoint workloads retire wave shapes.
-    """
-
-    def __init__(self, budget_bytes: int):
-        self.budget = budget_bytes
-        self._d = {}
-        self._cost = {}
-        self._bytes = 0
-
-    def get(self, key):
-        return self._d.get(key)
-
-    def put(self, key, value, cost: int) -> None:
-        if key in self._d:
-            self._bytes -= self._cost[key]
-        self._d[key] = value
-        self._cost[key] = cost
-        self._bytes += cost
-        while self._bytes > self.budget and len(self._d) > 1:
-            k = next(iter(self._d))
-            if k == key:
-                break
-            del self._d[k]
-            self._bytes -= self._cost.pop(k)
-
-    def __len__(self) -> int:
-        return len(self._d)
-
-
-class FusedEngine:
-    """Single-pass vectorized replay with a per-wave-shape plan cache.
-
-    The engine's LRU stamps are flat wave positions rather than the
-    clock ticks the other engines use.  Stamps are only ever compared
-    within one set of one cache level, and positions are strictly
-    monotone in service order there, so every hit/evict decision -- and
-    therefore every counter -- is bit-identical to the reference
-    (DESIGN.md section 5.10 carries the full argument).
-
-    State lives in four dense tables (``tag``/``val`` per level) of
-    shape ``(num_sets, assoc)``; empty ways hold tag -1 / value 0,
-    matching the packed dict encoding of :class:`VectorEngine`.
-    """
-
-    name = "fused"
-
-    #: byte budgets for the two plan caches (class attrs so tests and
-    #: memory-constrained callers can dial them down)
-    WAVE_PLAN_BUDGET = 64 << 20
-    L2_PLAN_BUDGET = 64 << 20
-
-    def __init__(self, config: GPUConfig):
-        self.config = config
-        g1, g2 = config.l1, config.l2
-        self.num_sms = config.num_sms
-        self._l1_line_bytes = g1.line_bytes
-        self._l1_nsets = g1.num_sets
-        self._l1_assoc = g1.assoc
-        self._l2_line_bytes = g2.line_bytes
-        self._l2_nsets = g2.num_sets
-        self._l2_assoc = g2.assoc
-        ns1 = self.num_sms * self._l1_nsets
-        self._ns1 = ns1
-        self._l1_tag = np.full((ns1, self._l1_assoc), -1, dtype=np.int64)
-        self._l1_val = np.zeros((ns1, self._l1_assoc), dtype=np.int64)
-        self._l2_tag = np.full((self._l2_nsets, self._l2_assoc), -1,
-                               dtype=np.int64)
-        self._l2_val = np.zeros((self._l2_nsets, self._l2_assoc),
-                                dtype=np.int64)
-        self._stamp = 1
-        self._row_bytes = config.dram_row_bytes
-        self._num_banks = config.dram_num_banks
-        self._open_rows = {}
-        self.dram_row_hits = 0
-        self._l1_lb_sh = _shift_of(g1.line_bytes)
-        self._l1_ns_sh = _shift_of(g1.num_sets)
-        self._l2_lb_sh = _shift_of(g2.line_bytes)
-        self._l2_ns_sh = _shift_of(g2.num_sets)
-        self._plans = _PlanCache(self.WAVE_PLAN_BUDGET)
-        self._l2_plans = _PlanCache(self.L2_PLAN_BUDGET)
-        self._shard_pool = None
-
-    # ------------------------------------------------------------------
-    def attach_shard_pool(self, pool) -> None:
-        """Route every wave's L1 pass through a worker pool.
-
-        ``pool`` is duck-typed (see ``harness.service.WaveShardPool``):
-        it owns ``num_shards`` persistent workers, each holding the L1
-        state for its share of the SMs, and runs their build/exec for
-        each wave.  Must be attached before the first wave: L1 state is
-        partitioned across the workers, so serial and sharded passes
-        cannot be mixed within one engine lifetime.
-        """
-        if self._stamp != 1:
-            raise LaunchError(
-                "attach_shard_pool: engine has already replayed waves; "
-                "L1 state cannot migrate into the pool"
-            )
-        self._shard_pool = pool
-        self._plans = _PlanCache(self.WAVE_PLAN_BUDGET)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _digest(traces) -> bytes:
-        """Plan-cache key: blake2b over the replay-relevant columns."""
-        h = hashlib.blake2b(digest_size=16)
-        for t in traces:
-            if not t.n_accesses:
-                continue
-            h.update(t.line.tobytes())
-            h.update(t.mask.tobytes())
-            h.update(t.txn_count.tobytes())
-            h.update(t.store.tobytes())
-            h.update(t.role.tobytes())
-            h.update(t.sm.to_bytes(4, "little"))
-        return h.digest()
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _build_plan(skey, tag, req, store, ns, assoc, allocate_all):
-        """All state-independent artifacts of one stream at one level.
-
-        ``skey``/``tag``/``req`` are the per-transaction set key, line
-        tag and requested sector mask, in service order; ``store`` is
-        the per-transaction store flag (None when ``allocate_all``, the
-        L2 semantics where stores allocate like loads).  Positions are
-        kept *relative* (0..n-1 in service order); exec adds the wave's
-        stamp base via a single offset on the packed values, which is
-        sound because ``(p + base) << 4 | m == (p << 4 | m) + (base << 4)``.
-        """
-        n = len(skey)
-        if ns <= 32767:
-            order = np.argsort(skey.astype(np.int16), kind="stable")
-        else:
-            order = np.argsort(skey, kind="stable")
-        ks = skey[order]
-        ts = tag[order]
-        ms = req[order].astype(np.int64, copy=False)
-        ps = order  # relative positions (the stream is in service order)
-        if allocate_all:
-            ss = ld = None
-        else:
-            ss = store[order]
-            ld = ~ss
-
-        nb = np.empty(n, dtype=bool)
-        nb[0] = True
-        np.not_equal(ks[1:], ks[:-1], out=nb[1:])
-        tb = nb.copy()
-        tb[1:] |= ts[1:] != ts[:-1]
-        compressed = False
-        rstart = rlen = pm = None
-        if tb.sum() <= COMPRESS_THRESHOLD * n:
-            # run compression: consecutive same-(set, tag) transactions
-            # collapse to one representative access; members recover
-            # their outcomes post-hoc from the run's pre-state mask.
-            compressed = True
-            if allocate_all:
-                run_start = tb
-            else:
-                # L1 write-through: stores before the first load of a
-                # run stay singleton runs (they must not allocate)
-                tstart = np.flatnonzero(tb)
-                tlen = np.diff(np.concatenate([tstart, [n]]))
-                idx_in = np.arange(n, dtype=np.int64) - np.repeat(tstart,
-                                                                  tlen)
-                fl = np.minimum.reduceat(np.where(ld, idx_in, n), tstart)
-                run_start = tb | (idx_in <= np.repeat(fl, tlen))
-            rstart = np.flatnonzero(run_start)
-            rlen = np.diff(np.concatenate([rstart, [n]]))
-            rep_key = ks[rstart]
-            rep_tag = ts[rstart]
-            rep_m = np.bitwise_or.reduceat(ms, rstart)
-            if allocate_all:
-                rep_pos = ps[rstart + rlen - 1]
-                rep_st = None
-            else:
-                rep_pos = np.maximum.reduceat(np.where(ld, ps, -1), rstart)
-                rep_st = ss[rstart]
-            R = len(rstart)
-            if int(rlen.max()) > 1:
-                # member pre-access bits within each run (prefix-OR of
-                # earlier members) -- purely structural
-                v = _SPREAD16[ms]
-                c = np.cumsum(v)
-                cv = c - v
-                exc = cv - np.repeat(cv[rstart], rlen)
-                q = exc + _SAT
-                pm = (((q >> 15) & 1) | ((q >> 30) & 2)
-                      | ((q >> 45) & 4) | ((q >> 60) & 8))
-        else:
-            rep_key = ks
-            rep_tag = ts
-            rep_m = ms
-            rep_pos = ps
-            rep_st = None if allocate_all else ss
-            R = n
-        rep_pv_rel = (rep_pos << 4) | rep_m
-
-        # round schedule: group representatives by set; round r serves
-        # the r-th representative of every set still alive, so each
-        # round is a dense batch of set-distinct accesses
-        rnb = np.empty(R, dtype=bool)
-        rnb[0] = True
-        np.not_equal(rep_key[1:], rep_key[:-1], out=rnb[1:])
-        gstart = np.flatnonzero(rnb)
-        glen = np.diff(np.concatenate([gstart, [R]]))
-        G = len(gstart)
-
-        cnt = np.bincount(glen)
-        round_sizes = np.cumsum(cnt[::-1])[::-1][1:]
-        sizes_l = round_sizes.tolist()
-        n_rounds = len(sizes_l)
-        r_cut = 0
-        while r_cut < n_rounds and sizes_l[r_cut] >= ROUND_CUTOFF:
-            r_cut += 1
-        has_tail = r_cut < n_rounds
-
-        plan = {
-            "n": n, "R": R, "order": order, "ms": ms,
-            "compressed": compressed, "rstart": rstart, "rlen": rlen,
-            "pm": pm, "r_cut": r_cut, "has_tail": has_tail, "G": G,
-            "assoc": assoc,
-            "t_r": None, "pv_r_rel": None, "st_r": None, "m_r": None,
-            "st_any": None, "bounds_l": None, "sets_slot": None,
-            "arA": None, "oldm_map": None, "in_rounds": None,
-            "sk_l": None, "t_l": None, "pv_rel_tail": None, "st_l": None,
-            "m_l": None, "uset": None, "tail_sel": None,
-        }
-
-        if r_cut > 0:
-            # longest groups get the lowest slots so alive groups stay
-            # a prefix of the slot range in every round
-            rrank = np.arange(R, dtype=np.int64) - np.repeat(gstart, glen)
-            g_order = np.argsort(-glen, kind="stable")
-            g_slot = np.empty(G, dtype=np.int64)
-            g_slot[g_order] = np.arange(G, dtype=np.int64)
-            bounds = np.concatenate([[0], np.cumsum(round_sizes)])
-            tpos = bounds[rrank] + np.repeat(g_slot, glen)
-            bounds_l = bounds.tolist()
-            nv = bounds_l[r_cut]
-            if has_tail:
-                in_rounds = rrank < r_cut
-                tpos_r = tpos[in_rounds]
-                t_r = np.empty(nv, dtype=np.int64)
-                t_r[tpos_r] = rep_tag[in_rounds]
-                pv_r = np.empty(nv, dtype=np.int64)
-                pv_r[tpos_r] = rep_pv_rel[in_rounds]
-                plan["in_rounds"] = in_rounds
-                plan["oldm_map"] = tpos_r
-            else:
-                tpos_r = tpos
-                t_r = np.empty(nv, dtype=np.int64)
-                t_r[tpos] = rep_tag
-                pv_r = np.empty(nv, dtype=np.int64)
-                pv_r[tpos] = rep_pv_rel
-                plan["oldm_map"] = tpos
-            if rep_st is not None and rep_st.any():
-                st_r = np.empty(nv, dtype=bool)
-                m_r = np.empty(nv, dtype=np.int64)
-                if has_tail:
-                    st_r[tpos_r] = rep_st[in_rounds]
-                    m_r[tpos_r] = rep_m[in_rounds]
-                else:
-                    st_r[tpos] = rep_st
-                    m_r[tpos] = rep_m
-                plan["st_r"] = st_r
-                plan["m_r"] = m_r
-                plan["st_any"] = np.logical_or.reduceat(
-                    st_r, bounds[:r_cut]).tolist()
-            plan["t_r"] = t_r
-            plan["pv_r_rel"] = pv_r
-            plan["bounds_l"] = bounds_l
-            plan["sets_slot"] = rep_key[gstart][g_order]
-            plan["arA"] = np.arange(G, dtype=np.int64) * assoc
-
-        if has_tail:
-            # representatives past the round cutoff run through the
-            # dict tail, in sorted order (within-set order preserved)
-            if r_cut > 0:
-                sel = ~plan["in_rounds"]
-                plan["tail_sel"] = sel
-                sk = rep_key[sel]
-                plan["sk_l"] = sk.tolist()
-                plan["t_l"] = rep_tag[sel].tolist()
-                plan["pv_rel_tail"] = rep_pv_rel[sel]
-                if rep_st is not None:
-                    plan["st_l"] = rep_st[sel].tolist()
-                    plan["m_l"] = rep_m[sel].tolist()
-                plan["uset"] = np.unique(sk)
-            else:
-                plan["sk_l"] = rep_key.tolist()
-                plan["t_l"] = rep_tag.tolist()
-                plan["pv_rel_tail"] = rep_pv_rel
-                if rep_st is not None:
-                    plan["st_l"] = rep_st.tolist()
-                    plan["m_l"] = rep_m.tolist()
-                plan["uset"] = np.unique(rep_key)
-        return plan
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _exec_plan(plan, tags_st, vals_st, pos_base):
-        """Run the state-dependent part of one stream pass.
-
-        ``tags_st``/``vals_st`` are the level's dense state tables,
-        updated in place.  Returns per-transaction ``(hits, residue)``
-        in the stream's original service order.
-        """
-        n = plan["n"]
-        R = plan["R"]
-        assoc = plan["assoc"]
-        r_cut = plan["r_cut"]
-        off = np.int64(pos_base) << 4
-        oldm_runs = np.empty(R, dtype=np.int64)
-
-        if r_cut > 0:
-            bounds_l = plan["bounds_l"]
-            t_r = plan["t_r"]
-            pv_r = plan["pv_r_rel"] + off
-            st_r = plan["st_r"]
-            m_r = plan["m_r"]
-            st_any = plan["st_any"]
-            sets_slot = plan["sets_slot"]
-            arA = plan["arA"]
-            G = plan["G"]
-            nv = bounds_l[r_cut]
-            oldm_r = np.empty(nv, dtype=np.int64)
-            # gather the touched sets' state once; the extra dummy slot
-            # at index G*assoc absorbs scatters for not-updated lanes
-            GA = G * assoc
-            rtf = np.empty(GA + 1, dtype=np.int64)
-            rvf = np.empty(GA + 1, dtype=np.int64)
-            rtf[:GA] = tags_st[sets_slot].ravel()
-            rvf[:GA] = vals_st[sets_slot].ravel()
-            rt = rtf[:GA].reshape(G, assoc)
-            rv = rvf[:GA].reshape(G, assoc)
-
-            for r in range(r_cut):
-                a, b = bounds_l[r], bounds_l[r + 1]
-                k = b - a
-                t = t_r[a:b]
-                hitw = rt[:k] == t[:, None]
-                hit = hitw.any(axis=1)
-                # single argmin picks the hit way (forced value -1) or
-                # the LRU victim (min packed value >= 0)
-                way = np.where(hitw, -1, rv[:k]).argmin(axis=1)
-                idx = arA[:k] + way
-                old = rvf[idx]
-                om = np.where(hit, old & 15, 0)
-                oldm_r[a:b] = om
-                if st_any is None or not st_any[r]:
-                    rvf[idx] = pv_r[a:b] | om
-                    rtf[idx] = t
-                else:
-                    # mixed round: stores refresh-if-present only
-                    st = st_r[a:b]
-                    lod = ~st
-                    upd = lod | hit
-                    new_val = np.where(lod, pv_r[a:b] | om, old | m_r[a:b])
-                    rvf[np.where(upd, idx, GA)] = new_val
-                    rtf[np.where(lod, idx, GA)] = t
-            tags_st[sets_slot] = rt
-            vals_st[sets_slot] = rv
-            if plan["has_tail"]:
-                oldm_runs[plan["in_rounds"]] = oldm_r[plan["oldm_map"]]
-            else:
-                oldm_runs = oldm_r[plan["oldm_map"]]
-
-        if plan["has_tail"]:
-            sk_l = plan["sk_l"]
-            t_l = plan["t_l"]
-            pv_l = (plan["pv_rel_tail"] + off).tolist()
-            st_l = plan["st_l"]
-            m_l = plan["m_l"]
-            uset = plan["uset"]
-            ntail = len(sk_l)
-            # lift the touched sets into dicts (one batched gather),
-            # run the dict core, scatter back
-            urows_t = tags_st[uset].tolist()
-            urows_v = vals_st[uset].tolist()
-            dicts = {}
-            for j, si in enumerate(uset.tolist()):
-                trow = urows_t[j]
-                vrow = urows_v[j]
-                dicts[si] = {trow[w]: vrow[w] for w in range(assoc)
-                             if trow[w] >= 0}
-            om_l = [0] * ntail
-            if st_l is None:
-                for i in range(ntail):
-                    d = dicts[sk_l[i]]
-                    t1 = t_l[i]
-                    v = d.get(t1)
-                    if v is not None:
-                        om = v & 15
-                    else:
-                        om = 0
-                        if len(d) >= assoc:
-                            del d[min(d, key=d.__getitem__)]
-                    d[t1] = pv_l[i] | om
-                    om_l[i] = om
-            else:
-                for i in range(ntail):
-                    d = dicts[sk_l[i]]
-                    t1 = t_l[i]
-                    v = d.get(t1)
-                    if st_l[i]:
-                        if v is not None:
-                            om_l[i] = v & 15
-                            d[t1] = v | m_l[i]
-                        continue
-                    if v is not None:
-                        om = v & 15
-                    else:
-                        om = 0
-                        if len(d) >= assoc:
-                            del d[min(d, key=d.__getitem__)]
-                    d[t1] = pv_l[i] | om
-                    om_l[i] = om
-            nt = np.full((len(uset), assoc), -1, dtype=np.int64)
-            nvv = np.zeros((len(uset), assoc), dtype=np.int64)
-            for j, si in enumerate(uset.tolist()):
-                d = dicts[si]
-                if d:
-                    nt[j, :len(d)] = list(d.keys())
-                    nvv[j, :len(d)] = list(d.values())
-            tags_st[uset] = nt
-            vals_st[uset] = nvv
-            if r_cut > 0:
-                oldm_runs[plan["tail_sel"]] = om_l
-            else:
-                oldm_runs[:] = om_l
-
-        # member finish: each transaction's outcome from its run's
-        # pre-state mask OR'd with earlier members' sectors
-        ms = plan["ms"]
-        if plan["compressed"]:
-            cur = np.repeat(oldm_runs, plan["rlen"])
-            if plan["pm"] is not None:
-                cur |= plan["pm"]
-        else:
-            cur = oldm_runs
-        mo = cur & ms
-        h_s = POPCOUNT4[mo]
-        res_s = ms ^ mo
-        order = plan["order"]
-        hits = np.empty(n, dtype=np.int64)
-        residue = np.empty(n, dtype=np.int64)
-        hits[order] = h_s
-        residue[order] = res_s
-        return hits, residue
-
-    # ------------------------------------------------------------------
-    def _wave_plan(self, traces, dig):
-        """Build and cache the state-independent artifacts of one wave."""
-        flat = flatten_wave(traces)
-        if flat is None:
-            self._plans.put(dig, "empty", 64)
-            return None
-        line, mask, sm, store, role, nsec = flat
-        n = len(line)
-        if self._l1_lb_sh is not None:
-            l1n = (line >> np.uint64(self._l1_lb_sh)).astype(np.int64)
-        else:
-            l1n = (line // np.uint64(self._l1_line_bytes)).astype(np.int64)
-        if self._l1_ns_sh is not None:
-            l1_key = (sm % self.num_sms) * self._l1_nsets + \
-                (l1n & (self._l1_nsets - 1))
-            l1_tag = l1n >> self._l1_ns_sh
-        else:
-            l1_key = (sm % self.num_sms) * self._l1_nsets + \
-                (l1n % self._l1_nsets)
-            l1_tag = l1n // self._l1_nsets
-        req = mask.astype(np.int64)
-        pool = self._shard_pool
-        if pool is None:
-            l1 = self._build_plan(l1_key, l1_tag, req, store, self._ns1,
-                                  self._l1_assoc, allocate_all=False)
-            shards = None
-        else:
-            # partition the stream by owning SM shard; each worker
-            # builds/executes the plan for its own subset
-            l1 = None
-            nsh = pool.num_shards
-            sh = (sm % self.num_sms) % nsh
-            shards = []
-            for s in range(nsh):
-                idx_s = np.flatnonzero(sh == s)
-                shards.append((idx_s, l1_key[idx_s], l1_tag[idx_s],
-                               req[idx_s], store[idx_s]))
-        is_load = ~store
-        load_roles = role[is_load]
-        minlength = int(load_roles.max()) + 1 if len(load_roles) else 0
-        plan = {
-            "l1": l1, "l1_shards": shards, "n": n, "line": line,
-            "store": store, "req": req, "role": role, "is_load": is_load,
-            "load_roles": load_roles, "minlength": minlength,
-            "l1_acc": int(nsec[is_load].sum()),
-            "present": (np.bincount(load_roles, minlength=minlength)
-                        if minlength else None),
-        }
-        self._plans.put(dig, plan, 40 * 8 * n)
-        return plan
-
-    def _l2_plan(self, plan, idx2, l1_res):
-        """L2 stream plan; a function of wave content plus L1 residues."""
-        line2 = plan["line"][idx2]
-        store = plan["store"]
-        l2_req = np.where(store[idx2], plan["req"][idx2], l1_res[idx2])
-        if self._l2_lb_sh is not None:
-            l2n = (line2 >> np.uint64(self._l2_lb_sh)).astype(np.int64)
-        else:
-            l2n = (line2 // np.uint64(self._l2_line_bytes)).astype(np.int64)
-        if self._l2_ns_sh is not None:
-            l2_key = l2n & (self._l2_nsets - 1)
-            l2_tag = l2n >> self._l2_ns_sh
-        else:
-            l2_key = l2n % self._l2_nsets
-            l2_tag = l2n // self._l2_nsets
-        p = self._build_plan(l2_key, l2_tag, l2_req, None, self._l2_nsets,
-                             self._l2_assoc, allocate_all=True)
-        ld2 = plan["is_load"][idx2]
-        return {"p": p, "line2": line2, "ld2": ld2,
-                "roles2l": plan["role"][idx2][ld2]}
-
-    # ------------------------------------------------------------------
-    def replay_wave(self, traces: List[MemoryTrace],
-                    stats: KernelStats) -> None:
-        dig = self._digest(traces)
-        plan = self._plans.get(dig)
-        if plan is None:
-            plan = self._wave_plan(traces, dig)
-            if plan is None:
-                return
-        elif plan == "empty":
+        if not len(load_roles):
             return
-        n = plan["n"]
-        # reserve a disjoint stamp window for this wave: L1 uses
-        # base..base+n-1 (relative positions), L2 uses base+n+1..base+2n
-        base = self._stamp
-        self._stamp = base + 2 * n + 2
+        l1_acc = nsec[is_load]
+        l2_acc = POPCOUNT4[np.asarray(miss1, dtype=np.int64)[is_load]]
+        dram = POPCOUNT4[np.asarray(miss2, dtype=np.int64)[is_load]]
+        l1h = l1_acc - l2_acc
+        l2h = l2_acc - dram
+        n_l1, n_l2 = int(l1_acc.sum()), int(l2_acc.sum())
+        stats.l1_accesses += n_l1
+        stats.l1_hits += n_l1 - n_l2
+        stats.l2_accesses += n_l2
+        stats.l2_hits += int(l2h.sum())
+        stats.dram_accesses += int(dram.sum())
 
-        if plan["l1_shards"] is not None:
-            l1h, l1_res = self._shard_pool.run_l1(plan["l1_shards"], dig,
-                                                  base, n)
-        else:
-            l1h, l1_res = self._exec_plan(plan["l1"], self._l1_tag,
-                                          self._l1_val, base)
-        store = plan["store"]
-        is_load = plan["is_load"]
-        go_l2 = store | (l1_res != 0)
-        idx2 = np.flatnonzero(go_l2)
-        stats_l2_hits = 0
-        stats_dram = 0
-        by_l2 = by_dr = None
-        minlength = plan["minlength"]
-        if len(idx2):
-            rh = hashlib.blake2b(l1_res.tobytes(), digest_size=16).digest()
-            l2key = (dig, rh)
-            l2p = self._l2_plans.get(l2key)
-            if l2p is None:
-                l2p = self._l2_plan(plan, idx2, l1_res)
-                self._l2_plans.put(l2key, l2p, 24 * 8 * len(idx2))
-            h2, r2 = self._exec_plan(l2p["p"], self._l2_tag, self._l2_val,
-                                     base + n + 1)
-            ld2 = l2p["ld2"]
-            drm2 = POPCOUNT4[r2]
-            h2l = h2[ld2]
-            drm2l = drm2[ld2]
-            stats_l2_hits = int(h2l.sum())
-            stats_dram = int(drm2l.sum())
-            rsel = r2 != 0
-            if rsel.any():
-                hits_, misses = account_rows(l2p["line2"][rsel],
-                                             self._row_bytes,
-                                             self._num_banks,
-                                             self._open_rows)
-                stats.dram_row_misses += misses
-                self.dram_row_hits += hits_
-            if minlength:
-                roles2l = l2p["roles2l"]
-                by_l2 = np.bincount(roles2l, weights=h2l,
-                                    minlength=minlength)
-                by_dr = np.bincount(roles2l, weights=drm2l,
-                                    minlength=minlength)
-
-        l1h_l = l1h[is_load]
-        l1_acc = plan["l1_acc"]
-        l1_hits = int(l1h_l.sum())
-        stats.l1_accesses += l1_acc
-        stats.l1_hits += l1_hits
-        stats.l2_accesses += l1_acc - l1_hits
-        stats.l2_hits += stats_l2_hits
-        stats.dram_accesses += stats_dram
-
-        if minlength:
-            by_l1 = np.bincount(plan["load_roles"], weights=l1h_l,
-                                minlength=minlength)
-            if by_l2 is None:
-                by_l2 = by_dr = np.zeros(minlength)
-            for rid in np.flatnonzero(plan["present"]).tolist():
-                if rid == 0:
-                    continue  # role None is never attributed
-                stats.add_role_levels(
-                    role_name(rid), int(by_l1[rid]), int(by_l2[rid]),
-                    int(by_dr[rid]),
-                )
+        # per-role L1/L2/DRAM attribution
+        minlength = int(load_roles.max()) + 1
+        by_l1 = np.bincount(load_roles, weights=l1h, minlength=minlength)
+        by_l2 = np.bincount(load_roles, weights=l2h, minlength=minlength)
+        by_dr = np.bincount(load_roles, weights=dram, minlength=minlength)
+        present = np.bincount(load_roles, minlength=minlength)
+        for rid in np.flatnonzero(present).tolist():
+            if rid == 0:
+                continue  # role None is never attributed
+            stats.add_role_levels(
+                role_name(rid), int(by_l1[rid]), int(by_l2[rid]),
+                int(by_dr[rid]),
+            )

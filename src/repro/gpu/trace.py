@@ -349,7 +349,7 @@ def flatten_wave(traces: List[MemoryTrace]):
     total_acc = int(n_acc.sum())
     # per-access columns, concatenated in warp order; the access index
     # within each warp is a repeat/arange difference, not per-trace
-    # aranges (this function is on the fused engine's warm path)
+    # aranges (this function runs once per replayed wave)
     acc_base = np.concatenate([[0], np.cumsum(n_acc)])[:-1]
     idx_within = np.arange(total_acc, dtype=np.int64) - np.repeat(
         acc_base, n_acc)

@@ -118,7 +118,8 @@ class Allocator(abc.ABC):
         self.heap.fill(addr, size, 0)
 
     def alloc_many(self, type_keys: Sequence[Hashable],
-                   sizes: Sequence[int]) -> np.ndarray:
+                   sizes: Sequence[int],
+                   replacing: Optional[np.ndarray] = None) -> np.ndarray:
         """Allocate one object per ``(type_keys[i], sizes[i])``, in order.
 
         The batched mirror of :meth:`alloc_object`: it returns exactly
@@ -128,15 +129,34 @@ class Allocator(abc.ABC):
         the whole batch is validated before anything is placed -- a
         failing batch leaves the allocator and heap untouched -- the
         statistics move once, and zeroing goes by runs.
+
+        ``replacing`` holds one live pointer per entry, each freed just
+        before its entry is placed: the sequence of ``free_object`` /
+        ``alloc_object`` pairs, whose order fixes every address once
+        freed slots are reused.
         """
         type_keys = list(type_keys)
         sizes = [int(s) for s in sizes]
         self._check_batch(type_keys, sizes)
+        old = (None if replacing is None
+               else self._check_live(replacing, len(type_keys)))
         n = len(type_keys)
         if not n:
             return np.empty(0, dtype=np.uint64)
         place = self._place_object
-        addrs = [place(t, s) for t, s in zip(type_keys, sizes)]
+        if old is None:
+            addrs = [place(t, s) for t, s in zip(type_keys, sizes)]
+        else:
+            addrs = []
+            freed = 0
+            for a, t, s in zip(old, type_keys, sizes):
+                old_type, old_size = self._live.pop(a)
+                self._unplace_object(a, old_type, old_size)
+                freed += old_size
+                addrs.append(place(t, s))
+            self.stats.frees += n
+            self.stats.live_bytes -= freed
+            obs.count("memory.free_objects", n)
         self._live.update(zip(addrs, zip(type_keys, sizes)))
         self.stats.allocations += n
         self.stats.live_bytes += sum(sizes)
@@ -180,17 +200,8 @@ class Allocator(abc.ABC):
         untouched.  Slot release goes through :meth:`_unplace_many`,
         which the concrete allocators vectorise.
         """
-        addrs = self._canonical_array(np.asarray(ptrs, dtype=np.uint64))
-        addr_list = [int(a) for a in addrs.tolist()]
+        addr_list = self._check_live(ptrs)
         live = self._live
-        seen = set()
-        for a in addr_list:
-            if a not in live or a in seen:
-                raise DoubleFree(
-                    f"free of unknown, duplicated or already-freed "
-                    f"pointer {a:#x}"
-                )
-            seen.add(a)
         type_keys: List[Hashable] = []
         sizes: List[int] = []
         freed_bytes = 0
@@ -203,6 +214,29 @@ class Allocator(abc.ABC):
         self.stats.frees += len(addr_list)
         self.stats.live_bytes -= freed_bytes
         obs.count("memory.free_objects", len(addr_list))
+
+    def _check_live(self, ptrs, count: Optional[int] = None) -> List[int]:
+        """Canonical addresses of a batch of pointers to free.
+
+        Raises :class:`DoubleFree` for an unknown, already-freed or
+        repeated pointer, and ``ValueError`` when ``count`` is given and
+        the batch has another length.
+        """
+        addrs = self._canonical_array(np.asarray(ptrs, dtype=np.uint64))
+        addr_list = addrs.tolist()
+        if count is not None and len(addr_list) != count:
+            raise ValueError(f"{count} objects but {len(addr_list)} "
+                             f"pointers to replace")
+        live = self._live
+        seen = set()
+        for a in addr_list:
+            if a not in live or a in seen:
+                raise DoubleFree(
+                    f"free of unknown, duplicated or already-freed "
+                    f"pointer {a:#x}"
+                )
+            seen.add(a)
+        return addr_list
 
     def _unplace_many(self, addrs: List[int], type_keys: List[Hashable],
                       sizes: List[int]) -> None:

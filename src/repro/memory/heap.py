@@ -92,7 +92,7 @@ class Heap:
                 f"access at {addr:#x}+{size} beyond heap break {self._brk:#x}"
             )
 
-    def _check_lanes(self, a: np.ndarray, size: int, what: str) -> None:
+    def check_lanes(self, a: np.ndarray, size: int, what: str) -> None:
         """Range-check every lane of an int64 address array at once."""
         if int(a.min()) < self.null_guard or int(a.max()) + size > self._brk:
             bad = a[(a < self.null_guard) | (a + size > self._brk)][0]
@@ -128,7 +128,7 @@ class Heap:
         if addrs.size == 0:
             return np.empty(0, dtype=np_dtype)
         a = addrs.astype(np.int64, copy=False)
-        self._check_lanes(a, size, "gather")
+        self.check_lanes(a, size, "gather")
         if size == 1:
             return self._data[a].view(np_dtype)
         if not (a & (size - 1)).any():
@@ -149,7 +149,7 @@ class Heap:
         if addrs.size == 0:
             return
         a = addrs.astype(np.int64, copy=False)
-        self._check_lanes(a, size, "scatter")
+        self.check_lanes(a, size, "scatter")
         vals = np.ascontiguousarray(values, dtype=np_dtype)
         if size == 1 or not (a & (size - 1)).any():
             self._typed_view(size, np_dtype)[a >> _SHIFT[size]] = vals
@@ -186,7 +186,7 @@ class Heap:
         if addrs.size == 0:
             return
         a = addrs.astype(np.int64, copy=False)
-        self._check_lanes(a, size, "atomic")
+        self.check_lanes(a, size, "atomic")
         vals = np.broadcast_to(np.asarray(values, dtype=np_dtype), a.shape)
         aligned = size == 1 or not (a & (size - 1)).any()
         integer = np.issubdtype(np_dtype, np.integer)

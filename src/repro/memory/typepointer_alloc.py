@@ -63,26 +63,36 @@ class TypePointerAllocator(Allocator):
         return encode_tag(addr, self._tag(type_key))
 
     def alloc_many(self, type_keys: Sequence[Hashable],
-                   sizes: Sequence[int]) -> np.ndarray:
+                   sizes: Sequence[int],
+                   replacing: Optional[np.ndarray] = None) -> np.ndarray:
         """Batched :meth:`alloc_object`: the inner batch, tagged.
 
-        Sizes are checked first, then one tag per distinct type, then
-        the inner allocator places the batch.  Asking for a tag may
-        reserve memory -- the index-encoded vTable region is sbrk'd on
-        the first request -- and ``alloc_object`` asks only once its
-        object is placed.  So before a wrapper's first tag, the batch's
-        first object goes through ``alloc_object``, which keeps every
-        later region where the scalar sequence puts it; that object is
-        then placed before the other entries' tags are checked.
+        Sizes and the (possibly tagged) ``replacing`` pointers are
+        checked first, then one tag per distinct type, then the inner
+        allocator places the batch.  Asking for a tag may reserve
+        memory -- the index-encoded vTable region is sbrk'd on the first
+        request -- and ``alloc_object`` asks only once its object is
+        placed.  So before a wrapper's first tag, the batch's first
+        object goes through ``alloc_object`` (after freeing the object
+        it replaces), which keeps every later region where the scalar
+        sequence puts it; that object is then placed before the other
+        entries' tags are checked.
         """
         type_keys, sizes = list(type_keys), list(sizes)
         self.inner._check_batch(type_keys, sizes)
+        old = None
+        if replacing is not None:
+            old = strip_tag_array(np.asarray(replacing, dtype=np.uint64))
+            self.inner._check_live(old, len(type_keys))
         head = []
         if type_keys and not self._tagged:
+            if old is not None:
+                self.inner.free_object(int(old[0]))
+                old = old[1:]
             head = [self.alloc_object(type_keys[0], sizes[0])]
             type_keys, sizes = type_keys[1:], sizes[1:]
         tags = {t: self._tag(t) for t in dict.fromkeys(type_keys)}
-        addrs = self.inner.alloc_many(type_keys, sizes)
+        addrs = self.inner.alloc_many(type_keys, sizes, replacing=old)
         tagged = encode_tag_array(addrs, np.fromiter(
             (tags[t] for t in type_keys), dtype=np.uint64,
             count=len(type_keys)))

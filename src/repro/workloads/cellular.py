@@ -26,7 +26,6 @@ from typing import Dict
 import numpy as np
 
 from ..frontend import abstract, device_class, kernel
-from ..memory.address_space import strip_tag_array
 from ..runtime.typesystem import TypeDescriptor
 from .base import Workload
 
@@ -146,32 +145,22 @@ class CellularAutomaton(Workload):
     def _retype_phase(self) -> None:
         """Destroy/recreate cells whose state changed (host side).
 
-        Each changed cell frees its object and allocates the
-        replacement before the next cell does: allocators reuse freed
-        slots, so that order fixes every new address.  Headers, fields
-        and grid slots are then written as columns.
+        One ``new_objects`` call replaces every changed cell, freeing
+        each old object just before placing its replacement (allocators
+        reuse freed slots, so that order fixes every new address);
+        fields and grid slots are then written as columns.
         """
         m = self.machine
         lay = m.registry.layout(self.Cell)
         # one host-side gather over every cell's state field finds the
-        # changed cells; only those walk the free/reconstruct path
+        # changed cells; only those are rebuilt
         new_states = m.read_field(self.cell_ptrs, lay, "state")
         changed = np.flatnonzero(new_states != self.states)
         if not len(changed):
             return
         states = new_states[changed]
-        allocator = m.allocator
-        sizes = {s: m.registry.layout(t).size
-                 for s, t in self.state_types.items()}
-        ptrs = np.empty(len(changed), dtype=np.uint64)
-        for k, (i, s) in enumerate(zip(changed.tolist(), states.tolist())):
-            allocator.free_object(int(self.cell_ptrs[i]))
-            ptrs[k] = allocator.alloc_object(self.state_types[s], sizes[s])
-        canon = strip_tag_array(ptrs)
-        for s, tdesc in self.state_types.items():
-            sel = states == s
-            if sel.any():
-                m.strategy.on_construct_many(canon[sel], tdesc)
+        ptrs = m.new_objects([self.state_types[s] for s in states.tolist()],
+                             replacing=self.cell_ptrs[changed])
         self._write_cells(ptrs, changed, states)
         m.heap.scatter(self.grid.addr(changed), "u64", ptrs)
         self.cell_ptrs[changed] = ptrs

@@ -308,7 +308,7 @@ class PageRankvE(_GraphWorkload):
         self._set_vertex_field("acc", np.float32(0.0))
 
     def iterate(self) -> None:
-        # one atomicAdd site into ``acc``, which nothing reads until apply
+        # atomicAdd into ``acc``, which nothing reads until apply
         self.machine.launch(self._edge_kernel(), self.n_edges,
                             independent_warps=True)
         # apply phase: vertex data is non-virtual in the vE variant
@@ -347,8 +347,9 @@ class _GraphWorkloadVEN(_GraphWorkload):
 
     def iterate(self) -> None:
         # edges read vertex values only through get_value and update
-        # next_level/next_label by integer atomicMin, or acc from one
-        # atomicAdd site; each vertex update touches its own vertex
+        # next_level/next_label/acc only by atomics, which nothing reads
+        # until the vertex kernel; each vertex update touches its own
+        # vertex
         self.machine.launch(self._edge_kernel(), self.n_edges,
                             independent_warps=True)
         self.machine.launch(self._vertex_kernel(), self.n_vertices,

@@ -195,9 +195,11 @@ class Structure(Workload):
             ptrs = nodes.ld(ctx, ctx.tid)
             ctx.vcall(ptrs, Element, "integrate")
 
-        # per warp: f32 atomicAdds from four sites meet at shared nodes,
-        # so a wave batch would reorder the float sums
-        self.machine.launch(spring_kernel, self.n_springs)
+        # the springs' f32 atomicAdds from four sites meet at shared
+        # nodes; a batch lands them in warp order, and nothing reads a
+        # node's force until node_kernel
+        self.machine.launch(spring_kernel, self.n_springs,
+                            independent_warps=True)
         self.machine.launch(node_kernel, self.n_nodes, independent_warps=True)
 
     # ------------------------------------------------------------------
@@ -210,8 +212,11 @@ class Structure(Workload):
     def checksum(self) -> float:
         m = self.machine
         lay = m.registry.layout(self.NodeBase)
-        total = 0.0
-        for p in self.node_ptrs:
-            total += float(m.read_field(int(p), lay, "pos_x"))
-            total += 3.0 * float(m.read_field(int(p), lay, "pos_y"))
+        # the running sum x0 + 3*y0 + x1 + 3*y1 + ... in float64, node by
+        # node: cumsum adds in order, as a scalar loop would
+        terms = np.empty(2 * self.n_nodes)
+        terms[0::2] = m.read_field(self.node_ptrs, lay, "pos_x")
+        terms[1::2] = 3.0 * m.read_field(self.node_ptrs, lay,
+                                         "pos_y").astype(np.float64)
+        total = float(np.cumsum(terms)[-1])
         return round(total, 3) + 1000.0 * self.broken_count()

@@ -241,6 +241,7 @@ class Traffic(Workload):
         self.agents = m.array_from(self.agent_ptrs, "u64")
         self.num_agents = len(self.agent_ptrs)
         self._vehicle_ptrs = np.concatenate((ptrs[car], ptrs[truck]))
+        self._sensor_ptrs = ptrs[sensor]
 
     # ------------------------------------------------------------------
     def iterate(self) -> None:
@@ -272,8 +273,6 @@ class Traffic(Workload):
                     .astype(np.int64).sum())
         total += 7 * int(m.read_field(self._vehicle_ptrs, lay, "vel")
                          .astype(np.int64).sum())
-        sensor_lay = m.registry.layout(self.Sensor)
-        for p in self.agent_ptrs:
-            if m.allocator.owner_type(int(p)) is self.Sensor:
-                total += 13 * int(m.read_field(int(p), sensor_lay, "count"))
+        total += 13 * int(m.read_field(self._sensor_ptrs, self.Sensor, "count")
+                          .astype(np.int64).sum())
         return float(total)

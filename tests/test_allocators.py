@@ -302,26 +302,38 @@ _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("alloc"),
                   st.lists(st.integers(0, 3), min_size=1, max_size=40)),
-        st.tuples(st.sampled_from(["free", "free_many"]),
+        st.tuples(st.sampled_from(["free", "free_many", "replace"]),
                   st.randoms(use_true_random=False)),
     ),
     max_size=6,
 )
 
 
+def _take(op, rnd, live) -> list:
+    """Remove and return one (``free``) or a random subset of the live
+    pointers."""
+    if op == "free":
+        return [live.pop(rnd.randrange(len(live)))]
+    rnd.shuffle(live)
+    k = rnd.randint(1, len(live))
+    victims, live[:] = live[:k], live[k:]
+    return victims
+
+
 def _free(op, rnd, live, batched, serial) -> None:
     """Free one or a random subset of the live pointers on both sides."""
     if not live:
         return
-    if op == "free":
-        victims = [live.pop(rnd.randrange(len(live)))]
-    else:
-        rnd.shuffle(live)
-        k = rnd.randint(1, len(live))
-        victims, live[:] = live[:k], live[k:]
+    victims = _take(op, rnd, live)
     batched(np.array(victims, dtype=np.uint64))
     for p in victims:
         serial(p)
+
+
+def _replacements(rnd, live):
+    """Random live pointers to replace, and a type index for each."""
+    victims = _take("replace", rnd, live)
+    return victims, [rnd.randrange(4) for _ in victims]
 
 
 class TestAllocMany:
@@ -336,19 +348,28 @@ class TestAllocMany:
         serial = BATCH_ALLOCATORS[kind](Heap(capacity=1 << 16))
         live = []
         for op, arg in [("alloc", first)] + ops:
-            if op == "alloc":
+            if op == "alloc" or op == "replace" and live:
                 # stale bytes everywhere: zeroing must clear exactly the
                 # new objects' bytes, as the per-object path does
                 for heap in (batched.heap, serial.heap):
                     heap.fill(heap.null_guard, heap.brk - heap.null_guard,
                               0xA5)
-                got = batched.alloc_many([f"T{i}" for i in arg],
-                                         [sizes[i] for i in arg])
-                want = [serial.alloc_object(f"T{i}", sizes[i]) for i in arg]
+                old = None
+                if op == "replace":
+                    old, arg = _replacements(arg, live)
+                got = batched.alloc_many(
+                    [f"T{i}" for i in arg], [sizes[i] for i in arg],
+                    replacing=None if old is None else np.array(
+                        old, dtype=np.uint64))
+                want = []
+                for k, i in enumerate(arg):
+                    if old is not None:
+                        serial.free_object(old[k])
+                    want.append(serial.alloc_object(f"T{i}", sizes[i]))
                 assert got.dtype == np.uint64
                 assert got.tolist() == want
                 live.extend(want)
-            else:
+            elif op != "replace":
                 _free(op, arg, live, batched.free_objects_many,
                       serial.free_object)
             assert _allocator_state(batched) == _allocator_state(serial)
@@ -370,6 +391,24 @@ class TestAllocMany:
             batched.alloc_many([k for k, _ in batch], [s for _, s in batch])
         assert _allocator_state(batched) == before
 
+        # so does a replacing batch with a dead, repeated or missing
+        # pointer (address 8 lies in the null guard: never an object)
+        if live:
+            repl = live[:len(first)]
+            how = data.draw(st.sampled_from(["dead", "repeat", "short"]))
+            if how == "short":
+                repl = repl[:-1]
+            elif how == "repeat" and len(repl) > 1:
+                repl = repl[:-1] + repl[:1]
+            else:
+                repl = repl[:-1] + [8]
+            with pytest.raises((ValueError, DoubleFree)):
+                batched.alloc_many(
+                    [f"T{i}" for i in first[:len(live)]],
+                    [sizes[i] for i in first[:len(live)]],
+                    replacing=np.array(repl, dtype=np.uint64))
+            assert _allocator_state(batched) == before
+
     @given(first=st.lists(st.integers(0, 3), min_size=1, max_size=40),
            ops=_OPS)
     @settings(max_examples=15, deadline=None)
@@ -390,17 +429,25 @@ class TestAllocMany:
         batched, serial = machines
         live = []
         for op, arg in [("alloc", first)] + ops:
-            if op == "alloc":
-                got = batched.new_objects([types[i] for i in arg])
+            if op == "alloc" or op == "replace" and live:
+                old = None
+                if op == "replace":
+                    old, arg = _replacements(arg, live)
+                got = batched.new_objects(
+                    [types[i] for i in arg],
+                    replacing=None if old is None else np.array(
+                        old, dtype=np.uint64))
                 want = []
-                for i in arg:
+                for k, i in enumerate(arg):
+                    if old is not None:
+                        serial.allocator.free_object(old[k])
                     size = serial.registry.layout(types[i]).size
                     p = serial.allocator.alloc_object(types[i], size)
                     serial.strategy.on_construct(strip_tag(p), types[i])
                     want.append(p)
                 assert got.tolist() == want
                 live.extend(want)
-            else:
+            elif op != "replace":
                 _free(op, arg, live, batched.free_objects,
                       serial.allocator.free_object)
             assert (_allocator_state(batched.allocator)

@@ -113,11 +113,11 @@ def test_unknown_replay_engine_config_exits_2_with_hint(capsys):
     # a typo'd engine dies in argparse with a did-you-mean, before any
     # experiment dispatch
     with pytest.raises(SystemExit) as excinfo:
-        main(["list", "--config", "replay_engine=fussed"])
+        main(["list", "--config", "replay_engine=refrence"])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
-    assert "unknown replay engine 'fussed'" in err
-    assert "did you mean" in err and "fused" in err
+    assert "unknown replay engine 'refrence'" in err
+    assert "did you mean" in err and "reference" in err
 
 
 def test_unknown_replay_engine_env_exits_2_with_hint(capsys, monkeypatch):
@@ -132,7 +132,7 @@ def test_unknown_replay_engine_env_exits_2_with_hint(capsys, monkeypatch):
 
 
 def test_valid_replay_engine_config_accepted(capsys):
-    assert main(["list", "--config", "replay_engine=fused"]) == 0
+    assert main(["list", "--config", "replay_engine=reference"]) == 0
 
 
 def test_status_without_daemon_fails_cleanly(capsys):

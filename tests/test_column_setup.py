@@ -259,6 +259,7 @@ class PerObjectTraffic:
         self._vehicle_ptrs = np.array(
             by_kind["car"] + by_kind["truck"], dtype=np.uint64
         )
+        self._sensor_ptrs = np.array(by_kind["sensor"], dtype=np.uint64)
 
     def _init_vehicle(self, ptr, pos, rng) -> None:
         m = self.machine

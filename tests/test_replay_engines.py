@@ -1,11 +1,12 @@
 """Cross-validation of the replay engines.
 
 The ReferenceEngine is the executable specification (the dict-based
-SectoredCache hierarchy); the VectorEngine and FusedEngine must be
-*bit-identical* on every counter, across dispatch strategies, workloads
-and random access streams.  The differential matrix below runs every
-registered technique against every Figure-6 workload under all three
-engines and compares whole KernelStats records, not checksums.
+SectoredCache hierarchy); the VectorEngine must be *bit-identical* on
+every counter, across dispatch strategies, workloads and random access
+streams, and must leave every cache set holding the same lines in the
+same LRU order.  The differential matrix below runs every registered
+technique against every Figure-6 workload under both engines and
+compares whole KernelStats records, not checksums.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from repro.gpu.machine import Machine
 from repro.gpu.replay import (
     ENGINE_ENV_VAR,
     ENGINES,
-    FusedEngine,
     ReferenceEngine,
     VectorEngine,
     make_engine,
@@ -44,7 +44,7 @@ def test_default_engine_is_vector():
 
 
 def test_engines_registry_names():
-    assert ENGINES == ("reference", "vector", "fused")
+    assert ENGINES == ("reference", "vector")
 
 
 def test_resolve_engine_prefers_env(monkeypatch):
@@ -62,13 +62,13 @@ def test_resolve_engine_rejects_unknown(monkeypatch):
 
 
 def test_resolve_engine_unknown_carries_hints(monkeypatch):
-    monkeypatch.setenv(ENGINE_ENV_VAR, "fussed")
+    monkeypatch.setenv(ENGINE_ENV_VAR, "refrence")
     with pytest.raises(UnknownEngineError) as excinfo:
         resolve_engine_name(small_config())
     err = excinfo.value
-    assert err.engine == "fussed"
+    assert err.engine == "refrence"
     assert err.known == ENGINES
-    assert "fused" in err.hints
+    assert "reference" in err.hints
     assert "did you mean" in str(err)
 
 
@@ -77,7 +77,6 @@ def test_make_engine_constructs_named_engines():
     hier = MemoryHierarchy(cfg)
     assert isinstance(make_engine("reference", cfg, hier), ReferenceEngine)
     assert isinstance(make_engine("vector", cfg, hier), VectorEngine)
-    assert isinstance(make_engine("fused", cfg, hier), FusedEngine)
     with pytest.raises(UnknownEngineError) as excinfo:
         make_engine("vectr", cfg, hier)
     assert "vector" in excinfo.value.hints
@@ -94,8 +93,8 @@ def test_machine_respects_config_engine():
 
 
 # ----------------------------------------------------------------------
-# differential matrix: every technique x every Figure-6 workload x all
-# three engines, whole-KernelStats equality
+# differential matrix: every technique x every Figure-6 workload x both
+# engines, whole-KernelStats equality
 # ----------------------------------------------------------------------
 def _run(workload: str, technique: str, engine: str):
     cfg = replace(small_config(), replay_engine=engine)
@@ -109,16 +108,13 @@ def _run(workload: str, technique: str, engine: str):
 def test_engines_bit_identical_on_workloads(workload, technique):
     ref_stats, ref_ck = _run(workload, technique, "reference")
     vec_stats, vec_ck = _run(workload, technique, "vector")
-    fus_stats, fus_ck = _run(workload, technique, "fused")
     # KernelStats is a dataclass: == covers every counter, including the
     # per-role dicts and the timing-model outputs derived from them
     assert vec_stats == ref_stats
-    assert fus_stats == ref_stats
     assert vec_ck == ref_ck
-    assert fus_ck == ref_ck
 
 
-@pytest.mark.parametrize("engine", ["vector", "fused"])
+@pytest.mark.parametrize("engine", ["vector"])
 def test_engines_bit_identical_under_object_churn(engine):
     # GOL retypes objects between launches: allocator reuse stresses
     # cache-state carry-over across waves and launches
@@ -127,8 +123,28 @@ def test_engines_bit_identical_under_object_churn(engine):
     assert eng_stats == ref_stats
 
 
+def _assert_same_state(ref: ReferenceEngine, vec: VectorEngine) -> None:
+    """Every L1 set of every SM and every L2 set holds the same lines,
+    in LRU order, with equal sector masks; DRAM row state agrees."""
+    hier = ref.hierarchy
+
+    def lru_order(lines):
+        return [(tag, line.sector_mask) for tag, line in
+                sorted(lines.items(), key=lambda kv: kv[1].lru)]
+
+    nsets = hier.l1s[0].geometry.num_sets
+    for sm, l1 in enumerate(hier.l1s):
+        for k, lines in enumerate(l1._sets):
+            assert list(vec._l1[sm * nsets + k].items()) == \
+                lru_order(lines), (sm, k)
+    for k, lines in enumerate(hier.l2._sets):
+        assert list(vec._l2[k].items()) == lru_order(lines), k
+    assert vec.dram_row_hits == hier.dram_row_hits
+    assert vec._open_rows == hier._open_rows
+
+
 # ----------------------------------------------------------------------
-# fused-engine plan cache: repeated waves take the memoized path
+# captured workload waves, replayed twice through evolved cache state
 # ----------------------------------------------------------------------
 def _captured_waves(workload: str, technique: str, scale: float = 0.1):
     """Run a workload under the vector engine, capturing its raw waves."""
@@ -147,78 +163,23 @@ def _captured_waves(workload: str, technique: str, scale: float = 0.1):
     return waves
 
 
-def test_fused_plan_cache_hits_stay_bit_identical():
+def test_repeated_waves_stay_bit_identical():
     cfg = small_config()
     waves = _captured_waves("BFS-vE", "cuda")
-    # replay the stream twice through ONE engine: the second pass runs
-    # entirely out of the plan cache, against evolved cache state
-    vec, fus = VectorEngine(cfg), FusedEngine(cfg)
-    vs, fs = KernelStats(), KernelStats()
+    # the second pass replays every wave against the cache state the
+    # first pass left: hits, refreshes and evictions of real traffic
+    ref, vec = ReferenceEngine(MemoryHierarchy(cfg)), VectorEngine(cfg)
+    rs, vs = KernelStats(), KernelStats()
     for _ in range(2):
         for traces in waves:
+            ref.replay_wave(traces, rs)
             vec.replay_wave(traces, vs)
-            fus.replay_wave(traces, fs)
-    assert len(fus._plans) > 0
-    assert fs == vs
-    assert fus.dram_row_hits == vec.dram_row_hits
-    assert fus._open_rows == vec._open_rows
-
-
-def test_fused_plan_cache_respects_byte_budget():
-    cfg = small_config()
-    waves = _captured_waves("TRAF", "cuda")
-    fus = FusedEngine(cfg)
-    fus._plans.budget = 1  # evict everything but the newest plan
-    stats = KernelStats()
-    for traces in waves:
-        fus.replay_wave(traces, stats)
-    assert len(fus._plans) <= 1
-    vec = VectorEngine(cfg)
-    vs = KernelStats()
-    for traces in waves:
-        vec.replay_wave(traces, vs)
-    assert stats == vs  # eviction affects speed only, never counters
+    assert vs == rs
+    _assert_same_state(ref, vec)
 
 
 # ----------------------------------------------------------------------
-# sharded L1 replay: the WaveShardPool partition is bit-identical
-# ----------------------------------------------------------------------
-def test_fused_shard_pool_bit_identical():
-    from repro.harness.service import WaveShardPool
-
-    cfg = small_config()
-    waves = _captured_waves("BFS-vE", "typepointer")
-    serial = FusedEngine(cfg)
-    ser_stats = KernelStats()
-    for traces in waves:
-        serial.replay_wave(traces, ser_stats)
-
-    sharded = FusedEngine(cfg)
-    shd_stats = KernelStats()
-    with WaveShardPool(cfg, num_shards=2) as pool:
-        sharded.attach_shard_pool(pool)
-        for traces in waves:
-            sharded.replay_wave(traces, shd_stats)
-    assert shd_stats == ser_stats
-    assert sharded.dram_row_hits == serial.dram_row_hits
-    assert sharded._open_rows == serial._open_rows
-
-
-def test_fused_shard_pool_must_attach_before_first_wave():
-    cfg = small_config()
-    waves = _captured_waves("TRAF", "cuda")
-    engine = FusedEngine(cfg)
-    engine.replay_wave(waves[0], KernelStats())
-
-    class _Pool:
-        num_shards = 2
-
-    with pytest.raises(LaunchError):
-        engine.attach_shard_pool(_Pool())
-
-
-# ----------------------------------------------------------------------
-# property test: random access streams, all three engines in lockstep
+# property test: random access streams, both engines in lockstep
 # ----------------------------------------------------------------------
 #: tiny geometry so evictions and row conflicts happen within a handful
 #: of accesses (L1: 8 lines in 4 sets; L2: 32 lines in 16 sets)
@@ -229,6 +190,13 @@ _PROP_CFG = GPUConfig(
     l2=CacheGeometry(size_bytes=4096, assoc=2),
     dram_row_bytes=512,
     dram_num_banks=2,
+)
+#: wider sets, so a set's LRU order spans more lines (L1: 8 lines in 2
+#: sets of 4; L2: 32 lines in 4 sets of 8)
+_PROP_CFG_WIDE = replace(
+    _PROP_CFG, name="prop-gpu-wide",
+    l1=CacheGeometry(size_bytes=1024, assoc=4),
+    l2=CacheGeometry(size_bytes=4096, assoc=8),
 )
 
 _access = st.tuples(
@@ -250,27 +218,22 @@ def _build_trace(sm: int, accs) -> MemoryTrace:
     return t.finalize()
 
 
-@given(waves=st.lists(st.lists(_warp, min_size=1, max_size=4),
+@given(cfg=st.sampled_from([_PROP_CFG, _PROP_CFG_WIDE]),
+       waves=st.lists(st.lists(_warp, min_size=1, max_size=4),
                       min_size=1, max_size=3))
 @settings(max_examples=60, deadline=None)
-def test_random_streams_bit_identical(waves):
-    ref = ReferenceEngine(MemoryHierarchy(_PROP_CFG))
-    vec = VectorEngine(_PROP_CFG)
-    fus = FusedEngine(_PROP_CFG)
-    ref_stats, vec_stats, fus_stats = (KernelStats(), KernelStats(),
-                                       KernelStats())
+def test_random_streams_bit_identical(cfg, waves):
+    ref = ReferenceEngine(MemoryHierarchy(cfg))
+    vec = VectorEngine(cfg)
+    ref_stats, vec_stats = KernelStats(), KernelStats()
     for wave in waves:
-        traces = [_build_trace(w % _PROP_CFG.num_sms, accs)
+        traces = [_build_trace(w % cfg.num_sms, accs)
                   for w, accs in enumerate(wave)]
         # engines replay the same frozen traces; state persists across
         # waves in both (caches are not flushed between kernels)
         ref.replay_wave(traces, ref_stats)
         vec.replay_wave(traces, vec_stats)
-        fus.replay_wave(traces, fus_stats)
     assert vec_stats == ref_stats
-    assert fus_stats == ref_stats
-    # row-buffer state must agree too, not just the counters so far
-    assert vec.dram_row_hits == ref.hierarchy.dram_row_hits
-    assert vec._open_rows == ref.hierarchy._open_rows
-    assert fus.dram_row_hits == ref.hierarchy.dram_row_hits
-    assert fus._open_rows == ref.hierarchy._open_rows
+    # the cache and row-buffer state must agree too, not just the
+    # counters so far
+    _assert_same_state(ref, vec)

@@ -299,3 +299,94 @@ def test_atomic_out_of_range_lane_writes_nothing(dtype, op, misaligned):
     with pytest.raises(InvalidAddress):
         m.launch(kernel, 1)
     assert _heap_bytes(m) == before
+
+
+# ----------------------------------------------------------------------
+# a lane batch lands its atomics in warp order
+# ----------------------------------------------------------------------
+#: 4-warp waves, so a few hundred threads span several waves
+_WAVE4 = small_config().with_overrides(resident_warps_per_sm=1)
+
+
+@st.composite
+def _site_cases(draw):
+    threads = draw(st.integers(1, 2 * 4 * 32 + 17))
+    slots = draw(st.integers(1, 6))
+
+    def lanes(elements):
+        return draw(st.lists(elements, min_size=threads, max_size=threads))
+
+    fval = st.one_of(st.floats(width=32),
+                     st.sampled_from([1e8, -1e8, 1.0, 0.1, 3.0]))
+    ival = st.integers(0, 2**32 - 1)
+    return {
+        "threads": threads,
+        "slots": slots,
+        "slot": [lanes(st.integers(0, slots - 1)) for _ in range(4)],
+        "fval": [lanes(fval) for _ in range(3)],
+        "ival": lanes(ival),
+        "cond": lanes(st.booleans()),
+        # the integer site updates the float slots' bytes, or its own
+        "int_on_floats": draw(st.booleans()),
+        "initial": draw(st.lists(st.floats(width=32), min_size=slots,
+                                 max_size=slots)),
+    }
+
+
+def _run_sites(case, batched: bool):
+    m = Machine("cuda", config=_WAVE4)
+    m.set_replay_memo(ReplayMemo())
+    floats = m.array_from(np.array(case["initial"], dtype=np.float32), "f32")
+    ints = m.array_from(np.full(case["slots"], 2**31, dtype=np.uint32),
+                        "u32")
+    slot = [np.array(s, dtype=np.int64) for s in case["slot"]]
+    fval = [np.array(v, dtype=np.float32) for v in case["fval"]]
+    ival = np.array(case["ival"], dtype=np.uint32)
+    cond = np.array(case["cond"], dtype=bool)
+    int_target = floats if case["int_on_floats"] else ints
+
+    def then_fn(sub, mask):
+        t = sub.tid
+        sub.atomic(floats.addr(slot[1][t]), "f32", fval[1][t], op="add")
+
+    def else_fn(sub, mask):
+        t = sub.tid
+        sub.atomic(int_target.addr(slot[2][t]), "u32", ival[t], op="min")
+        sub.atomic(floats.addr(slot[3][t]), "f32", fval[2][t], op="add")
+
+    def kernel(ctx):
+        t = ctx.tid
+        ctx.atomic(floats.addr(slot[0][t]), "f32", fval[0][t], op="add")
+        ctx.branch(cond[t], then_fn, else_fn)
+
+    stats = m.launch(kernel, case["threads"], independent_warps=batched)
+    return _heap_bytes(m), dataclasses.asdict(stats), m._trace_chain
+
+
+@settings(max_examples=40, deadline=None)
+@given(_site_cases())
+def test_batched_atomics_land_in_warp_order(case):
+    """Three f32 atomicAdd sites and a u32 atomicMin site, two of them
+    in divergent subcontexts, meet at shared addresses: a lane batch
+    leaves the heap, stats and memo chain of the per-warp run."""
+    assert _run_sites(case, batched=True) == _run_sites(case, batched=False)
+
+
+def test_batched_atomic_out_of_range_lane_raises_at_the_call():
+    m = Machine("cuda", config=_WAVE4)
+    arr = m.array_from(np.array([10, 5, 0, 7], dtype=np.uint32), "u32")
+    before = _heap_bytes(m)
+    reached = []
+
+    def kernel(ctx):
+        good = arr.addr(ctx.tid % 4)
+        ctx.atomic(good, "u32", 1)          # logged, never applied
+        bad = good.copy()
+        bad[-1] = m.heap.brk + 64
+        ctx.atomic(bad, "u32", 1)
+        reached.append("after")
+
+    with pytest.raises(InvalidAddress):
+        m.launch(kernel, 64, independent_warps=True)
+    assert reached == []
+    assert _heap_bytes(m) == before

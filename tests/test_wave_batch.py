@@ -1,6 +1,6 @@
 """Lane-batched kernels equal their per-warp runs, counter for counter.
 
-The Figure 12 microbenchmark kernels and 13 of the Figure 6 workloads'
+The Figure 12 microbenchmark kernels and 14 of the Figure 6 workloads'
 launches declare ``independent_warps`` and run once per wave.  Run
 once per warp instead, warp after warp, they must leave every
 ``KernelStats`` field, the launch history, the heap, the replay memo's
@@ -93,7 +93,6 @@ FIG6_SCALE = 0.02
 #: the launches that break the contract and stay per warp
 PER_WARP = {
     "TRAF": {"move_kernel"},        # warps claim shared occupancy cells
-    "STUT": {"spring_kernel"},      # f32 atomicAdds from four sites
     "BFS-vE": {"edge_kernel"},      # atomicMin into the level it reads
     "CC-vE": {"edge_kernel"},       # atomicMin into the label it reads
 }
@@ -139,15 +138,3 @@ def test_fig6_batched_equals_per_warp(monkeypatch, workload, technique):
     for key in per_warp:
         assert batched[key] == per_warp[key], key
 
-
-@pytest.mark.parametrize("technique", FIG6_TECHNIQUES)
-def test_batching_spring_kernel_reorders_its_float_sums(monkeypatch,
-                                                        technique):
-    """Why STUT's ``spring_kernel`` stays per warp: run once per wave,
-    each atomic site adds over the whole wave before the next site
-    does, so the nodes' f32 force sums come out in another order."""
-    per_warp = _run_fig6("STUT", technique)
-    _force_launches(monkeypatch, lambda name, declared:
-                    declared or name == "spring_kernel")
-    batched = _run_fig6("STUT", technique)
-    assert batched["heap"] != per_warp["heap"]
