@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 """
 import numpy as np
 
-from repro import FIGURE6_TECHNIQUES, Machine, TypeDescriptor
+from repro import Machine, TypeDescriptor, techniques
 from repro.gpu.config import scaled_config
 
 # ----------------------------------------------------------------------
@@ -83,7 +83,7 @@ def main():
     print(f"{'technique':14s} {'cycles':>10s} {'gld':>9s} {'L1 hit':>7s} "
           f"{'instrs':>8s}  total_area(sample)")
     baseline_cycles = None
-    for tech in FIGURE6_TECHNIQUES:
+    for tech in techniques.paper_techniques():
         m = Machine(tech, config=scaled_config())
         m.register(Circle, Rect, Tri)
         ptrs = build_scene(m)

@@ -12,7 +12,7 @@ from .config import CacheGeometry, GPUConfig, small_config
 from .dram import DRAMModel, account_rows
 from .executor import WARP_SIZE, ExecutionContext, launch
 from .isa import InstrClass, Opcode, TraceRecord
-from .machine import FIGURE6_TECHNIQUES, TECHNIQUES, Machine
+from .machine import Machine
 from .replay import ENGINES, ReferenceEngine, ReplayEngine, VectorEngine
 from .stats import KernelStats
 from .timing import bottleneck, compute_cycles, finalize_timing, memory_cycles
@@ -37,8 +37,6 @@ __all__ = [
     "InstrClass",
     "Opcode",
     "TraceRecord",
-    "FIGURE6_TECHNIQUES",
-    "TECHNIQUES",
     "Machine",
     "ENGINES",
     "ReplayEngine",

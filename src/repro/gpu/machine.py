@@ -32,7 +32,6 @@ from ..memory.mmu import MMU
 from ..runtime.objects import DeviceArray
 from ..runtime.typesystem import ObjectLayout, TypeDescriptor, TypeRegistry
 from ..runtime.vtable import VTableArena
-from ..techniques import available as _available_techniques
 from ..techniques import resolve as _resolve_technique
 from .cache import MemoryHierarchy
 from .config import GPUConfig
@@ -41,17 +40,6 @@ from .replay import make_engine, resolve_engine_name
 from .tlb import TLBHierarchy
 from .executor import launch as _launch
 from .stats import KernelStats
-
-#: Deprecated alias: canonical technique names at import time.  New code
-#: should query :func:`repro.techniques.available` instead, which also
-#: reflects user registrations.
-TECHNIQUES = _available_techniques()
-
-#: Deprecated alias: the five configurations of the paper's Figure 6 in
-#: plotting order, frozen so historical figure output is reproducible.
-#: The sweeps now default to :func:`repro.techniques.figure_techniques`
-#: (these five plus ``soa``).
-FIGURE6_TECHNIQUES = ("cuda", "concord", "sharedoa", "coal", "typepointer")
 
 #: Process-wide replay memo newly constructed machines attach by
 #: default (None = no memo).  Worker processes of the parallel
@@ -77,6 +65,10 @@ class Machine:
     constructor takes it keyword-only: ``Machine("coal",
     initial_chunk_objects=1024)``.
     """
+
+    #: column bytes of memo-hit waves held before they are drained
+    #: through the engine (bounds a long warm run's pending traces)
+    MAX_PENDING_BYTES = 64 << 20
 
     def __init__(
         self,
@@ -109,16 +101,13 @@ class Machine:
             resolve_engine_name(self.config), self.config, self.hierarchy
         )
         #: optional cross-run replay memo (set by harness.runner before
-        #: any launch); plus the trace-hash chain and pending traces
+        #: any launch); plus the trace-hash chain and the memo-hit waves
+        #: the engine has not replayed yet, with their column bytes
         self._replay_memo = _DEFAULT_REPLAY_MEMO
         self._trace_chain: Optional[bytes] = None
-        self._pending_traces: List[object] = []
+        self._pending_traces: List[list] = []
+        self._pending_bytes = 0
         self._waves_replayed = 0
-        #: optional zero-copy trace store (see harness.store.TraceStore):
-        #: memo hits spill their waves here instead of pinning raw
-        #: traces in memory until the next miss drains them
-        self._trace_store = None
-        self._trace_bucket: Optional[str] = None
 
         # no per-technique branching here: the registry spec carries the
         # dispatch strategy, allocator recipe and MMU mode
@@ -283,25 +272,6 @@ class Machine:
             )
         self._replay_memo = memo
 
-    def set_trace_store(self, store, bucket: str) -> None:
-        """Attach a zero-copy trace store for memo-hit waves.
-
-        Without a store, every memo hit pins its raw trace list in
-        memory until the next miss drains it through the engine -- an
-        unbounded cost on long warm runs.  With one attached, hit waves
-        are delta-encoded into the store's ``bucket`` (keyed by the
-        same chained hash as the memo) and the pending list holds only
-        the 20-byte keys; the drain decodes them back as views into
-        the mapped bucket file.  Same attach-before-first-launch rule
-        as the memo, for the same chaining reason.
-        """
-        if self._waves_replayed:
-            raise LaunchError(
-                "trace store must be attached before the first launch"
-            )
-        self._trace_store = store
-        self._trace_bucket = bucket
-
     def _advance_chain(self, traces) -> bytes:
         import hashlib
 
@@ -326,8 +296,9 @@ class Machine:
         hash chained over the machine's whole trace history -- replay
         counters are a pure function of that chain, so a hit is exact.
         Hits defer the engine's state update (traces go to a pending
-        list); the first miss drains the pending traces through the
-        engine to rebuild cache state before replaying live.
+        list); every miss, and any hit that takes the pending column
+        bytes past :attr:`MAX_PENDING_BYTES`, drains the pending traces
+        through the engine to bring its cache state up to date.
         """
         self._waves_replayed += 1
         obs.count("machine.waves")
@@ -340,25 +311,32 @@ class Machine:
         if hit is not None:
             obs.count("machine.memo_hits")
             stats.merge(hit)
-            if self._trace_store is not None:
-                self._trace_store.put_wave(self._trace_bucket, key, traces)
-                self._pending_traces.append(key)
-            else:
-                self._pending_traces.append(traces)
+            self._pending_traces.append(traces)
+            self._pending_bytes += sum(t.nbytes for t in traces)
+            if self._pending_bytes > self.MAX_PENDING_BYTES:
+                self._drain_pending()
             return
         obs.count("machine.memo_misses")
-        if self._pending_traces:
-            scratch = KernelStats()
-            for wave in self._pending_traces:
-                if isinstance(wave, bytes):
-                    wave = self._trace_store.get_wave(
-                        self._trace_bucket, wave)
-                self.engine.replay_wave(wave, scratch)
-            self._pending_traces.clear()
+        self._drain_pending()
         delta = KernelStats()
         self.engine.replay_wave(traces, delta)
         stats.merge(delta)
         memo.put(key, delta)
+
+    def _drain_pending(self) -> None:
+        """Replay the pending memo-hit waves through the engine.
+
+        Their counters came from the memo already, so only the engine's
+        cache and DRAM state is kept; it is the state an unmemoized run
+        reaches, as a wave's replay depends only on the waves before it.
+        """
+        if not self._pending_traces:
+            return
+        discarded = KernelStats()
+        for wave in self._pending_traces:
+            self.engine.replay_wave(wave, discarded)
+        self._pending_traces.clear()
+        self._pending_bytes = 0
 
     def launch(self, kernel, num_threads: int,
                label: Optional[str] = None,

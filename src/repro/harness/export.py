@@ -58,7 +58,7 @@ def _restore_key(key: str):
 
 
 # ----------------------------------------------------------------------
-# atomic JSON writing (shared by selfbench / loadtest / manifests)
+# atomic JSON writing (shared by figures / loadtest / manifests)
 # ----------------------------------------------------------------------
 def write_json_atomic(
     payload: Any,

@@ -406,19 +406,10 @@ def _matches(row: Mapping[str, Any], where: Mapping[str, Any]) -> bool:
 
 
 # ----------------------------------------------------------------------
-# importers: the ad-hoc BENCH_*.json formats land as runs + points
+# importer: a loadtest report (``BENCH_serve.json``) lands as a run + point
 # ----------------------------------------------------------------------
 #: BENCH schema tag -> importer kind
-_IMPORT_KINDS = {
-    "repro-selfbench/2": "bench-pipeline",
-    "repro-service-bench/1": "bench-service",
-    "repro-loadtest/1": "bench-serve",
-}
-
-#: numeric per-run fields of a selfbench entry that become metrics
-_SELFBENCH_METRICS = ("wall_s", "replay_s", "cycles", "l1_accesses",
-                      "l2_accesses", "dram_accesses", "dram_row_misses",
-                      "checksum")
+_IMPORT_KINDS = {"repro-loadtest/1": "bench-serve"}
 
 
 def _import_point_id(kind: str, identity: Mapping[str, Any]) -> str:
@@ -428,11 +419,10 @@ def _import_point_id(kind: str, identity: Mapping[str, Any]) -> str:
 def import_bench_file(db: ResultDB, path: Any) -> Dict[str, Any]:
     """Import one ``BENCH_*.json`` blob; returns an import summary.
 
-    Dispatches on the payload's ``schema`` tag
-    (``repro-selfbench/2`` / ``repro-service-bench/1`` /
-    ``repro-loadtest/1``).  Point IDs are deterministic over the entry
-    identity, so re-importing the same file upserts instead of
-    duplicating.
+    The payload's ``schema`` tag must be ``repro-loadtest/1`` (what
+    ``python -m repro loadtest`` writes).  Point IDs are deterministic
+    over the entry identity, so re-importing the same file upserts
+    instead of duplicating.
     """
     path = Path(path)
     payload = json.loads(path.read_text())
@@ -444,71 +434,10 @@ def import_bench_file(db: ResultDB, path: Any) -> Dict[str, Any]:
             f"{', '.join(sorted(_IMPORT_KINDS))})")
     run_id = db.begin_run(f"import-{kind}", name=path.name,
                           spec={"schema": schema}, source=str(path))
-    if kind == "bench-pipeline":
-        n = _import_selfbench(db, run_id, payload)
-    elif kind == "bench-service":
-        n = _import_service_bench(db, run_id, payload)
-    else:
-        n = _import_loadtest(db, run_id, payload)
+    n = _import_loadtest(db, run_id, payload)
     db.commit()
     return {"run_id": run_id, "kind": kind, "points": n,
             "source": str(path)}
-
-
-def _import_selfbench(db: ResultDB, run_id: str, payload: Dict) -> int:
-    scale = payload.get("scale")
-    seed = payload.get("seed")
-    config = payload.get("config")
-    n = 0
-    for entry in payload.get("runs", []):
-        identity = {
-            "workload": entry["workload"], "technique": entry["technique"],
-            "engine": entry["engine"], "scale": scale, "seed": seed,
-            "config": config,
-        }
-        db.record_point(
-            run_id, _import_point_id("bench-pipeline", identity),
-            sweep="bench:pipeline",
-            workload=entry["workload"], technique=entry["technique"],
-            scale=scale, seed=seed, iterations=payload.get("iterations"),
-            base_config=config, spec=identity, status="ok", outcome="ok",
-            knobs={"engine": entry["engine"]},
-            metrics={k: entry[k] for k in _SELFBENCH_METRICS
-                     if isinstance(entry.get(k), (int, float))},
-            commit=False,
-        )
-        n += 1
-    return n
-
-
-def _import_service_bench(db: ResultDB, run_id: str, payload: Dict) -> int:
-    n = 0
-    for tag, phase in payload.get("phases", {}).items():
-        identity = {"phase": tag, "workers": payload.get("workers"),
-                    "scale": payload.get("scale"),
-                    "experiments": payload.get("experiments")}
-        totals = phase.get("totals", {})
-        db.record_point(
-            run_id, _import_point_id("bench-service", identity),
-            sweep="bench:service",
-            workload=None, technique=None,
-            scale=payload.get("scale"), seed=None, iterations=None,
-            base_config=None, spec=identity, status="ok", outcome="ok",
-            wall_s=phase.get("wall_s"),
-            knobs={"phase": tag, "workers": payload.get("workers"),
-                   "mode": phase.get("mode"),
-                   "warm_start": phase.get("warm_start")},
-            metrics={
-                "wall_s": phase.get("wall_s"),
-                "shards": totals.get("shards"),
-                "memo_hits": totals.get("memo_hits"),
-                "memo_misses": totals.get("memo_misses"),
-                "memo_hit_rate": totals.get("memo_hit_rate"),
-            },
-            commit=False,
-        )
-        n += 1
-    return n
 
 
 def _import_loadtest(db: ResultDB, run_id: str, payload: Dict) -> int:

@@ -423,169 +423,3 @@ def memo_for(store: ReplayMemoStore, config: GPUConfig,
              scope: Optional[str] = None) -> PersistentReplayMemo:
     """Store-backed memo for runs under ``config``'s engine/geometry."""
     return PersistentReplayMemo(store, bucket_name(config, scope))
-
-
-# ----------------------------------------------------------------------
-# zero-copy trace store
-# ----------------------------------------------------------------------
-class TraceStore:
-    """Mapped, append-only store of encoded waves (zero-copy on read).
-
-    Where :class:`ReplayMemoStore` persists replay *results*, this
-    persists replay *inputs*: whole waves of finalized
-    :class:`~repro.gpu.trace.MemoryTrace` records in the delta-encoded
-    binary layout of :func:`~repro.gpu.trace.encode_wave`.  A bucket is
-    one append-only ``.traces`` data file plus a pickled index mapping
-    a caller key (e.g. the machine's chained trace hash) to a
-    ``(offset, length)`` span.  Readers ``mmap`` the data file and
-    decode in place -- the per-access columns come back as views into
-    the mapping, so a warm replay of a stored wave copies nothing but
-    two prefix sums.
-
-    Writes append under the same :class:`_FileLock` protocol as the
-    memo store; the data file is never rewritten, so an index entry
-    always points at fully written bytes and concurrent readers can
-    keep stale mappings open safely (they just re-map when a span ends
-    past their view).
-    """
-
-    def __init__(self, root):
-        self.root = Path(root)
-        self._maps: Dict[str, object] = {}
-        self._indexes: Dict[str, Dict[bytes, tuple]] = {}
-
-    # ------------------------------------------------------------------
-    def data_path(self, bucket: str) -> Path:
-        return self.root / f"{bucket}.traces"
-
-    def index_path(self, bucket: str) -> Path:
-        return self.root / f"{bucket}.tridx"
-
-    def _lock_path(self, bucket: str) -> Path:
-        return self.root / f"{bucket}.traces.lock"
-
-    # ------------------------------------------------------------------
-    def _read_index(self, bucket: str) -> Dict[bytes, tuple]:
-        from ..gpu.trace import TRACE_ENCODING_VERSION
-
-        try:
-            with open(self.index_path(bucket), "rb") as f:
-                payload = pickle.load(f)
-        except FileNotFoundError:
-            return {}
-        except Exception as exc:
-            obs.count("store.bucket_corrupt")
-            warnings.warn(
-                f"trace-store index {bucket!r} ignored: unreadable "
-                f"({exc!r}); treating as empty",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return {}
-        if (
-            not isinstance(payload, dict)
-            or payload.get("schema") != "repro-trace-store"
-            or payload.get("version") != TRACE_ENCODING_VERSION
-        ):
-            obs.count("store.bucket_version_mismatch")
-            return {}
-        entries = payload.get("entries")
-        return entries if isinstance(entries, dict) else {}
-
-    def _write_index(self, bucket: str,
-                     entries: Dict[bytes, tuple]) -> None:
-        from ..gpu.trace import TRACE_ENCODING_VERSION
-
-        payload = {
-            "schema": "repro-trace-store",
-            "version": TRACE_ENCODING_VERSION,
-            "written_unix": time.time(),
-            "entries": entries,
-        }
-        path = self.index_path(bucket)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent),
-                                   prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                pickle.dump(payload, f, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    # ------------------------------------------------------------------
-    def put_wave(self, bucket: str, key: bytes, traces) -> bool:
-        """Encode and append one wave; False when ``key`` already stored."""
-        from ..gpu.trace import encode_wave
-
-        self.root.mkdir(parents=True, exist_ok=True)
-        with _FileLock(self._lock_path(bucket)):
-            entries = self._read_index(bucket)
-            if key in entries:
-                return False
-            blob = encode_wave(traces)
-            with open(self.data_path(bucket), "ab") as f:
-                offset = f.tell()
-                f.write(blob)
-            entries[key] = (offset, len(blob))
-            self._write_index(bucket, entries)
-        # our cached view of this bucket is stale now
-        self._indexes.pop(bucket, None)
-        return True
-
-    def _index(self, bucket: str) -> Dict[bytes, tuple]:
-        idx = self._indexes.get(bucket)
-        if idx is None:
-            idx = self._read_index(bucket)
-            self._indexes[bucket] = idx
-        return idx
-
-    def has_wave(self, bucket: str, key: bytes) -> bool:
-        if key in self._index(bucket):
-            return True
-        # refresh once: another process may have appended since
-        self._indexes.pop(bucket, None)
-        return key in self._index(bucket)
-
-    def get_wave(self, bucket: str, key: bytes):
-        """Decode the stored wave for ``key`` (views into the mapping).
-
-        Returns None when the key is not stored.
-        """
-        import mmap
-
-        from ..gpu.trace import decode_wave
-
-        span = self._index(bucket).get(key)
-        if span is None:
-            self._indexes.pop(bucket, None)
-            span = self._index(bucket).get(key)
-            if span is None:
-                return None
-        offset, length = span
-        m = self._maps.get(bucket)
-        if m is None or offset + length > len(m):
-            if m is not None:
-                m.close()
-            with open(self.data_path(bucket), "rb") as f:
-                m = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-            self._maps[bucket] = m
-        return decode_wave(m, offset)
-
-    def size(self, bucket: str) -> int:
-        return len(self._read_index(bucket))
-
-    def close(self) -> None:
-        for m in self._maps.values():
-            m.close()
-        self._maps.clear()
-        self._indexes.clear()
-
-    def __enter__(self) -> "TraceStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -60,7 +60,12 @@ class TypePointerAllocator(Allocator):
 
     def alloc_object(self, type_key: Hashable, size: int) -> int:
         addr = self.inner.alloc_object(type_key, size)
-        return encode_tag(addr, self._tag(type_key))
+        try:
+            tag = self._tag(type_key)
+        except TypeTagOverflow:
+            self.inner.free_object(addr)
+            raise
+        return encode_tag(addr, tag)
 
     def alloc_many(self, type_keys: Sequence[Hashable],
                    sizes: Sequence[int],
@@ -76,7 +81,7 @@ class TypePointerAllocator(Allocator):
         object goes through ``alloc_object`` (after freeing the object
         it replaces), which keeps every later region where the scalar
         sequence puts it; that object is then placed before the other
-        entries' tags are checked.
+        entries' tags are checked, and freed again if one overflows.
         """
         type_keys, sizes = list(type_keys), list(sizes)
         self.inner._check_batch(type_keys, sizes)
@@ -91,7 +96,12 @@ class TypePointerAllocator(Allocator):
                 old = old[1:]
             head = [self.alloc_object(type_keys[0], sizes[0])]
             type_keys, sizes = type_keys[1:], sizes[1:]
-        tags = {t: self._tag(t) for t in dict.fromkeys(type_keys)}
+        try:
+            tags = {t: self._tag(t) for t in dict.fromkeys(type_keys)}
+        except TypeTagOverflow:
+            for ptr in head:
+                self.free_object(ptr)
+            raise
         addrs = self.inner.alloc_many(type_keys, sizes, replacing=old)
         tagged = encode_tag_array(addrs, np.fromiter(
             (tags[t] for t in type_keys), dtype=np.uint64,

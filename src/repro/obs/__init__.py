@@ -14,10 +14,8 @@ process-local :class:`Registry`:
   ``store.bucket_corrupt``, ...).
 
 The whole layer is built to be cheap enough to leave on: counter bumps
-are one dict update, spans two ``perf_counter`` calls; ``python -m
-repro selfbench`` asserts the warm-path overhead stays under 2%
-(``telemetry_overhead`` in ``BENCH_pipeline.json``).  Set ``REPRO_OBS=0``
-to hard-disable every probe anyway.
+are one dict update, spans two ``perf_counter`` calls.  Set
+``REPRO_OBS=0`` to hard-disable every probe anyway.
 
 Serialisation: :meth:`Registry.to_dict` emits a JSON-safe payload
 (:data:`SCHEMA`), :meth:`Registry.merge_dict` folds another process's

@@ -37,7 +37,7 @@ from .client import ServeClient, ServeError
 #: report schema tag
 SCHEMA = "repro-loadtest/1"
 
-#: default report path (sibling of BENCH_pipeline/BENCH_service)
+#: default report path
 DEFAULT_OUTPUT = "BENCH_serve.json"
 
 #: default synthetic per-job cost when the loadtest boots its own

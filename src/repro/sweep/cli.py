@@ -9,7 +9,7 @@ Verbs::
                 [--format table|csv|json] [--output PATH]
     sweep report sensitivity --knob K --metric M [--sweep S]
     sweep report pareto --metrics a,b [--maximize a] [--sweep S]
-    sweep import BENCH_pipeline.json [...]
+    sweep import BENCH_serve.json [...]    # loadtest reports
 
 Everything but ``run`` works from the database alone.  ``--where``
 values parse as JSON literals (``--where model_tlb=true``) and fall
@@ -147,7 +147,8 @@ def sweep_cli_main(argv: Sequence[str]) -> int:
     p_pareto.add_argument("--json", action="store_true")
 
     p_import = sub.add_parser("import",
-                              help="import BENCH_*.json into the db")
+                              help="import loadtest BENCH_serve.json "
+                                   "reports into the db")
     p_import.add_argument("paths", nargs="+")
 
     args = parser.parse_args(argv)

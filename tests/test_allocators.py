@@ -227,6 +227,24 @@ class TestTypePointerAllocator:
         with pytest.raises(TypeTagOverflow):
             alloc.alloc_object("A", 32)
 
+    @pytest.mark.parametrize("inner_cls", [SharedOAAllocator,
+                                           CudaHeapAllocator],
+                             ids=["typepointer", "tp_on_cuda"])
+    @pytest.mark.parametrize("call", [
+        lambda a: a.alloc_object("B", 16),
+        lambda a: a.alloc_many(["B", "A"], [16, 16]),
+        lambda a: a.alloc_many(["A", "B"], [16, 16]),
+    ], ids=["alloc_object", "alloc_many-BA", "alloc_many-AB"])
+    def test_tag_overflow_leaves_nothing_live(self, heap, inner_cls, call):
+        # a fresh wrapper places an object before its first tag check;
+        # an overflowing tag must free it again
+        alloc = self._make(heap, inner_cls, tags={"A": 64, "B": MAX_TAG + 1})
+        with pytest.raises(TypeTagOverflow):
+            call(alloc)
+        assert alloc.live_count() == 0
+        p = alloc.alloc_object("A", 16)
+        assert alloc.live_objects() == [(strip_tag(p), "A", 16)]
+
     def test_canonical_address_is_inner_placement(self, heap):
         alloc = self._make(heap)
         p = alloc.alloc_object("A", 32)

@@ -65,6 +65,14 @@ def test_unknown_experiment_exits_2_with_hint(capsys):
     assert "did you mean" in err and "fig6" in err
 
 
+@pytest.mark.parametrize("flag", ["--output", "--repeats"])
+def test_engine_timer_flags_are_gone(capsys, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fig6", flag, "1"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args", [
     ["all", "--workers", "0"],
     ["all", "--workers", "-2"],
@@ -292,21 +300,3 @@ def test_profile_experiment_renders_span_tree(capsys):
     assert "telemetry: fig1" in out
     assert "machine.launch" in out
     assert "machine.launches" in out
-
-
-def test_selfbench_service_subcommand(capsys, tmp_path):
-    out_path = tmp_path / "BENCH_service.json"
-    assert main([
-        "selfbench", "service", "--scale", "0.04",
-        "--workers", "2", "--workloads", "TRAF",
-        "--output", str(out_path),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "service bench" in out
-    report = json.loads(out_path.read_text())
-    assert report["ok"] is True
-    assert report["renders_match"] is True
-    assert report["warm_store_hit"] is True
-    for phase in ("serial_cold", "parallel_cold", "warm_store"):
-        assert phase in report["phases"]
-    assert report["speedup_vs_serial_cold"]["warm_store"] > 0

@@ -121,3 +121,49 @@ def test_attach_after_launch_rejected():
     m.launch(k1, 256)
     with pytest.raises(LaunchError):
         m.set_replay_memo(ReplayMemo())
+
+
+def _gol(memo=None):
+    """GOL under TypePointer: multi-wave launches, objects retyped
+    between them."""
+    from repro.workloads import make_workload
+
+    m = Machine("typepointer", config=small_config())
+    if memo is not None:
+        m.set_replay_memo(memo)
+    return m, make_workload("GOL", m, scale=0.3, seed=7)
+
+
+@pytest.mark.parametrize("warm_iterations", [6, 3], ids=["warm", "part-warm"])
+@pytest.mark.parametrize("budget", [0, 1 << 18])
+def test_pending_waves_stay_within_budget(monkeypatch, budget,
+                                          warm_iterations):
+    # memo hits defer their waves; a long warm run drains them once they
+    # pass the budget and still lands on the counters of a memoless run
+    _, wl = _gol()
+    base = wl.run(6), wl.checksum()
+    memo = ReplayMemo()
+    _gol(memo)[1].run(warm_iterations)
+
+    monkeypatch.setattr(Machine, "MAX_PENDING_BYTES", budget)
+    m, wl = _gol(memo)
+    hit_bytes, pending = [0], []
+    inner_wave, inner_launch = m.replay_wave, m.launch
+
+    def replay_wave(traces, stats):
+        hits = memo.hits
+        inner_wave(traces, stats)
+        if memo.hits > hits:
+            hit_bytes[0] += sum(t.nbytes for t in traces)
+
+    def launch(*args, **kwargs):
+        out = inner_launch(*args, **kwargs)
+        pending.append(m._pending_bytes)
+        return out
+
+    m.replay_wave, m.launch = replay_wave, launch
+    assert (wl.run(6), wl.checksum()) == base
+    assert len(pending) == m.launches
+    # the hit waves outgrew the budget, yet no launch ended above it
+    assert hit_bytes[0] > budget
+    assert max(pending) <= budget

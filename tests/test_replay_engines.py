@@ -5,8 +5,9 @@ SectoredCache hierarchy); the VectorEngine must be *bit-identical* on
 every counter, across dispatch strategies, workloads and random access
 streams, and must leave every cache set holding the same lines in the
 same LRU order.  The differential matrix below runs every registered
-technique against every Figure-6 workload under both engines and
-compares whole KernelStats records, not checksums.
+technique against every Figure-6 workload under both engines, and the
+figure techniques again at the figure sweeps' GPU and seed, comparing
+whole KernelStats records and workload checksums.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import LaunchError, UnknownEngineError
 from repro.gpu.cache import MemoryHierarchy
-from repro.gpu.config import CacheGeometry, GPUConfig, small_config
+from repro.gpu.config import CacheGeometry, GPUConfig, scaled_config, small_config
 from repro.gpu.machine import Machine
 from repro.gpu.replay import (
     ENGINE_ENV_VAR,
@@ -31,9 +32,8 @@ from repro.gpu.replay import (
 from repro.gpu.stats import KernelStats
 from repro.gpu.trace import MemoryTrace, role_id
 from repro.techniques import available as all_techniques
+from repro.techniques import figure_techniques
 from repro.workloads import make_workload, workload_names
-
-FIG6_TECHNIQUES = ("cuda", "concord", "sharedoa", "coal", "typepointer")
 
 
 # ----------------------------------------------------------------------
@@ -96,22 +96,36 @@ def test_machine_respects_config_engine():
 # differential matrix: every technique x every Figure-6 workload x both
 # engines, whole-KernelStats equality
 # ----------------------------------------------------------------------
-def _run(workload: str, technique: str, engine: str):
-    cfg = replace(small_config(), replay_engine=engine)
+def _run(workload: str, technique: str, engine: str, config=None,
+         seed: int = 3, iterations=1):
+    cfg = replace(config or small_config(), replay_engine=engine)
     m = Machine(technique, config=cfg)
-    wl = make_workload(workload, m, scale=0.1, seed=3)
-    return wl.run(1), wl.checksum()
+    wl = make_workload(workload, m, scale=0.1, seed=seed)
+    return wl.run(iterations), wl.checksum()
+
+
+def _assert_engines_agree(workload: str, technique: str, **settings):
+    ref_stats, ref_ck = _run(workload, technique, "reference", **settings)
+    vec_stats, vec_ck = _run(workload, technique, "vector", **settings)
+    # KernelStats is a dataclass: == covers every counter, including the
+    # per-role dicts and the timing-model outputs derived from them
+    assert vec_stats == ref_stats
+    assert vec_ck == ref_ck
 
 
 @pytest.mark.parametrize("technique", all_techniques())
 @pytest.mark.parametrize("workload", workload_names())
 def test_engines_bit_identical_on_workloads(workload, technique):
-    ref_stats, ref_ck = _run(workload, technique, "reference")
-    vec_stats, vec_ck = _run(workload, technique, "vector")
-    # KernelStats is a dataclass: == covers every counter, including the
-    # per-role dicts and the timing-model outputs derived from them
-    assert vec_stats == ref_stats
-    assert vec_ck == ref_ck
+    # small caches, one iteration: every registered technique
+    _assert_engines_agree(workload, technique)
+
+
+@pytest.mark.parametrize("technique", figure_techniques())
+@pytest.mark.parametrize("workload", workload_names())
+def test_engines_bit_identical_at_figure_settings(workload, technique):
+    # the figure sweeps' GPU, seed 7, each workload's own iteration count
+    _assert_engines_agree(workload, technique, config=scaled_config(),
+                          seed=7, iterations=None)
 
 
 @pytest.mark.parametrize("engine", ["vector"])

@@ -135,51 +135,6 @@ def _write(tmp_path, name, payload):
     return path
 
 
-def test_import_selfbench(db, tmp_path):
-    path = _write(tmp_path, "BENCH_pipeline.json", {
-        "schema": "repro-selfbench/2",
-        "scale": 0.05, "seed": 7, "config": "scaled-v100",
-        "runs": [
-            {"workload": "TRAF", "technique": "cuda", "engine": "numpy",
-             "wall_s": 1.5, "cycles": 100, "checksum": 3.25},
-            {"workload": "TRAF", "technique": "soa", "engine": "numpy",
-             "wall_s": 1.0, "cycles": 80, "checksum": 3.25},
-        ],
-    })
-    info = import_bench_file(db, path)
-    assert info["kind"] == "bench-pipeline"
-    assert info["points"] == 2
-    rows = db.query_rows(sweep="bench:pipeline")
-    assert {r["technique"] for r in rows} == {"cuda", "soa"}
-    assert rows[0]["engine"] == "numpy"
-    # re-import upserts: same deterministic IDs, no duplicates
-    info2 = import_bench_file(db, path)
-    assert info2["points"] == 2
-    assert db.point_count(sweep="bench:pipeline") == 2
-
-
-def test_import_service_bench(db, tmp_path):
-    path = _write(tmp_path, "BENCH_service.json", {
-        "schema": "repro-service-bench/1",
-        "workers": 4, "scale": 0.05, "experiments": ["fig6"],
-        "phases": {
-            "serial": {"wall_s": 10.0, "mode": "serial",
-                       "warm_start": False,
-                       "totals": {"shards": 5, "memo_hits": 0,
-                                  "memo_misses": 5, "memo_hit_rate": 0.0}},
-            "parallel": {"wall_s": 4.0, "mode": "parallel",
-                         "warm_start": True,
-                         "totals": {"shards": 5, "memo_hits": 5,
-                                    "memo_misses": 0,
-                                    "memo_hit_rate": 1.0}},
-        },
-    })
-    info = import_bench_file(db, path)
-    assert info["points"] == 2
-    rows = db.query_rows(sweep="bench:service")
-    assert {r["phase"] for r in rows} == {"serial", "parallel"}
-
-
 def test_import_loadtest(db, tmp_path):
     path = _write(tmp_path, "BENCH_serve.json", {
         "schema": "repro-loadtest/1",
@@ -192,41 +147,18 @@ def test_import_loadtest(db, tmp_path):
                       "max": 0.2},
     })
     info = import_bench_file(db, path)
+    assert info["kind"] == "bench-serve"
     assert info["points"] == 1
     (row,) = db.query_rows(sweep="bench:serve")
     assert row["throughput_rps"] == 50.0
     assert row["users"] == 1000
+    # re-import upserts: same deterministic ID, no duplicate
+    info2 = import_bench_file(db, path)
+    assert info2["points"] == 1
+    assert db.point_count(sweep="bench:serve") == 1
 
 
 def test_import_rejects_unknown_schema(db, tmp_path):
     path = _write(tmp_path, "BENCH_weird.json", {"schema": "nope/9"})
     with pytest.raises(ResultDBError, match="unknown BENCH schema"):
         import_bench_file(db, path)
-
-
-def test_selfbench_records_into_db(tmp_path):
-    # the selfbench writer doubles as a recorder: with db_path set the
-    # BENCH report is imported into the sweep DB in the same call
-    from repro.harness.selfbench import run_selfbench
-
-    out = tmp_path / "BENCH_pipeline.json"
-    dbp = tmp_path / "results.sqlite"
-    report = run_selfbench(workloads=["TRAF"], techniques=("cuda",),
-                           scale=0.05, output=str(out),
-                           db_path=str(dbp))
-    assert report["resultdb"]["kind"] == "bench-pipeline"
-    # one point per (engine, workload, technique) run
-    assert report["resultdb"]["points"] == len(report["runs"])
-    with ResultDB(dbp) as db:
-        rows = db.query_rows(sweep="bench:pipeline")
-        assert {r["engine"] for r in rows} == {"reference", "vector"}
-        assert all(r["workload"] == "TRAF" for r in rows)
-
-
-def test_selfbench_without_db_path_records_nothing(tmp_path):
-    from repro.harness.selfbench import run_selfbench
-
-    out = tmp_path / "BENCH_pipeline.json"
-    report = run_selfbench(workloads=["TRAF"], techniques=("cuda",),
-                           scale=0.05, output=str(out))
-    assert "resultdb" not in report

@@ -154,13 +154,6 @@ def test_machine_unknown_technique_error():
         Machine("typepointre", config=small_config())
 
 
-def test_deprecated_tuples_mirror_registry():
-    from repro.gpu.machine import FIGURE6_TECHNIQUES, TECHNIQUES
-
-    assert tuple(TECHNIQUES) == techniques.available()
-    assert tuple(FIGURE6_TECHNIQUES) == techniques.paper_techniques()
-
-
 def test_spec_mmu_modes():
     assert techniques.get("typepointer").mmu_mode is MMUMode.TYPEPOINTER
     assert techniques.get("typepointer_proto").mmu_mode is MMUMode.PROTOTYPE
